@@ -2,7 +2,8 @@ package vcpusim_test
 
 // Benchmarks: one per reproduced table/figure (each iteration regenerates
 // the figure's full row/series set at a reduced replication budget — run
-// cmd/experiments for the full-budget numbers printed in EXPERIMENTS.md),
+// `go run ./cmd/vcpusim experiments` for the full-budget numbers printed in
+// EXPERIMENTS.md),
 // plus engine and component micro-benchmarks.
 
 import (

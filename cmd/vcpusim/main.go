@@ -80,7 +80,7 @@ func run(args []string, out io.Writer) (err error) {
 		gantt      = fs.Bool("gantt", false, "with -single: print a text Gantt chart of PCPU occupancy")
 		showStats  = fs.Bool("stats", false, "with -single: print engine counters (events, firings, stabilization depth, events/s)")
 		faultsPath = fs.String("faults", "", "path to a JSON fault-injection plan (SAN engine only)")
-		contract   = fs.Int("contract", 0, "override the config's determinism contract version: 1 (byte-frozen original) or 2 (ziggurat + calendar queue); 0 keeps the config's choice")
+		contract   = fs.Int("contract", 0, "override the config's determinism contract version: 1 (byte-frozen inverse-transform/Box-Muller variates) or 2 (ziggurat variates); 0 keeps the config's choice")
 	)
 	var prof obs.Profiles
 	prof.Register(fs)

@@ -489,7 +489,11 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	switch ev.kind {
 	case evArrival:
 		for i := 0; i < ev.count; i++ {
-			if !o.place(ev.vcpus, ev.time, ev.time) {
+			placed, err := o.place(ev.vcpus, ev.time, ev.time)
+			if err != nil {
+				return err
+			}
+			if !placed {
 				o.queue = append(o.queue, queuedVM{vcpus: ev.vcpus, arrived: ev.time})
 			}
 		}
@@ -514,7 +518,11 @@ func (o *Orchestrator) handle(ev clusterEvent) error {
 	// FIFO retry: only the head may jump the queue.
 	for len(o.queue) > 0 {
 		q := o.queue[0]
-		if !o.place(q.vcpus, ev.time, q.arrived) {
+		placed, err := o.place(q.vcpus, ev.time, q.arrived)
+		if err != nil {
+			return err
+		}
+		if !placed {
 			break
 		}
 		o.queue = o.queue[1:]
@@ -536,21 +544,22 @@ func (o *Orchestrator) snapshotLoads(vcpus int) []HostLoad {
 }
 
 // place routes one VM through the placement policy; false means no host
-// fits and the VM must queue.
-func (o *Orchestrator) place(vcpus int, now, arrived float64) bool {
+// fits and the VM must queue. A failed admission is an error, not a
+// queued VM.
+func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
 	hid := o.policy.Place(vcpus, o.snapshotLoads(vcpus))
 	if hid < 0 {
-		return false
+		return false, nil
 	}
 	h := o.hosts[hid]
 	slot := h.fits(vcpus)
 	if slot < 0 {
 		// The policy picked a host that does not fit; treat as queued
 		// rather than crash — a policy bug must not kill the replication.
-		return false
+		return false, nil
 	}
 	if err := o.admit(h, slot); err != nil {
-		return false
+		return false, fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
 	}
 	o.dispatches++
 	o.placed++
@@ -560,7 +569,7 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) bool {
 			"t": now, "host": h.name, "vcpus": vcpus, "wait": now - arrived,
 		}})
 	}
-	return true
+	return true, nil
 }
 
 // admit makes slot resident on host h: unpark it in the scheduler's view
@@ -596,11 +605,15 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 				continue
 			}
 			slot := i
+			var parkErr error
 			err := h.inst.Exec(t, func() {
 				h.sys.EvictVM(slot)
-				h.sys.SetVMParked(slot, true)
+				parkErr = h.sys.SetVMParked(slot, true)
 			})
 			o.hfix(h.id)
+			if err == nil {
+				err = parkErr
+			}
 			if err != nil {
 				return fmt.Errorf("cluster: host %s: evicting slot %d: %w", h.name, slot, err)
 			}

@@ -335,3 +335,51 @@ func TestHostSeedDerivation(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestPolicyNamesCaseInsensitive checks that placement policy names and
+// their short forms resolve regardless of letter case.
+func TestPolicyNamesCaseInsensitive(t *testing.T) {
+	for name, want := range map[string]string{
+		"Least-Loaded": "least-loaded",
+		"LL":           "least-loaded",
+		"RR":           "round-robin",
+		"Round-Robin":  "round-robin",
+		"First-FIT":    "first-fit",
+		"Ff":           "first-fit",
+	} {
+		p, err := policyFor(name)
+		if err != nil {
+			t.Errorf("policyFor(%q): %v", name, err)
+			continue
+		}
+		if p.Name() != want {
+			t.Errorf("policyFor(%q) = %s, want %s", name, p.Name(), want)
+		}
+	}
+}
+
+// TestPlaceSurfacesAdmitError checks that a failed admission fails the
+// arrival with the host and slot named, instead of queueing the VM.
+func TestPlaceSurfacesAdmitError(t *testing.T) {
+	o, err := New(fig8Topology(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A phantom slot with no VM behind it in the host's system: the policy
+	// and fits() accept it, and admission must then fail.
+	h := o.hosts[0]
+	phantom := len(h.slots)
+	h.slots = append(h.slots, slotState{vcpus: 8, phase: slotParked})
+	h.genEnabled = append(h.genEnabled, false)
+	err = o.handle(clusterEvent{kind: evArrival, count: 1, vcpus: 8})
+	if err == nil {
+		t.Fatal("failed admission was swallowed")
+	}
+	want := fmt.Sprintf("host %s: admitting slot %d", h.name, phantom)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	if len(o.queue) != 0 {
+		t.Errorf("VM queued after a failed admission: %d queued", len(o.queue))
+	}
+}

@@ -1,6 +1,9 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // HostLoad is the per-host snapshot a placement policy sees: static
 // capacity plus the orchestrator's admission bookkeeping. It carries no
@@ -32,7 +35,7 @@ type PlacementPolicy interface {
 
 // policyFor resolves a placement policy name (case-insensitive).
 func policyFor(name string) (PlacementPolicy, error) {
-	switch normalize(name) {
+	switch strings.ToLower(name) {
 	case "round-robin", "rr":
 		return &roundRobin{}, nil
 	case "least-loaded", "ll":
@@ -42,18 +45,6 @@ func policyFor(name string) (PlacementPolicy, error) {
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement policy %q (have round-robin, least-loaded, first-fit)", name)
 	}
-}
-
-func normalize(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out = append(out, c)
-	}
-	return string(out)
 }
 
 // roundRobin cycles through hosts, continuing after the last host it

@@ -153,9 +153,9 @@ type Experiment struct {
 	// Faults is an optional fault-injection campaign (SAN engine only).
 	Faults *faults.Plan `json:"faults,omitempty"`
 	// Contract is the determinism contract version (1 or 2); default 1,
-	// the byte-frozen original engine. 2 selects the ziggurat-sampling
-	// calendar-queue fast path, whose trajectories are self-reproducible
-	// but diverge from v1's.
+	// the byte-frozen original variate stream. 2 selects ziggurat
+	// sampling, whose trajectories are self-reproducible but diverge from
+	// v1's.
 	Contract int `json:"contract,omitempty"`
 }
 

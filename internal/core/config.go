@@ -46,7 +46,7 @@ type SystemConfig struct {
 	Faults *faults.Plan
 	// Contract is the determinism contract version the SAN program is
 	// compiled under (san.ContractV1 or san.ContractV2); 0 selects
-	// san.DefaultContract, i.e. the byte-frozen v1 engine.
+	// san.DefaultContract, i.e. the byte-frozen v1 variate stream.
 	Contract int
 }
 

@@ -20,7 +20,7 @@ import (
 // program only contains exponential TIMED ACTIVITIES — where the v2
 // ziggurat lowering engages — through a fault campaign with exponential
 // inter-fault and repair clocks. The healthy exponential-load cell pins
-// the calendar-queue kernel end to end (it coincides with v1, see
+// the v2 engine end to end (it coincides with v1, see
 // TestGoldenV2MatchesV1WithoutStochasticClocks); the fault cell pins the
 // ziggurat-driven trajectory (it diverges from v1, see
 // TestGoldenV2DivergesOnExponentialClocks).
@@ -67,7 +67,7 @@ func goldenV2Path() string {
 }
 
 // TestGoldenDeterminismV2 pins the contract-v2 end-to-end trajectory
-// (ziggurat-sampled workloads through the calendar-queue kernel) bit for
+// (ziggurat-sampled workloads) bit for
 // bit. Shares golden_test.go's -update flag; re-record only when a change
 // intentionally declares a new contract version.
 func TestGoldenDeterminismV2(t *testing.T) {
@@ -119,8 +119,8 @@ func TestGoldenDeterminismV2(t *testing.T) {
 // the v2 divergence: on the v1 golden cells (uniform loads, deterministic
 // timeslices — no exponential or normal clocks in the compiled program)
 // contract v2 must reproduce contract v1 bit for bit, because the
-// calendar queue pops events in exactly the heap's order and the ziggurat
-// never engages.
+// contracts share the executor and kernel and the ziggurat never
+// engages.
 func TestGoldenV2MatchesV1WithoutStochasticClocks(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc

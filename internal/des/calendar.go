@@ -1,6 +1,6 @@
 // Calendar-queue event list (Brown, "Calendar Queues: A Fast O(1) Priority
 // Queue Implementation for the Simulation Event Set Problem", CACM 1988),
-// the alternative Kernel backend selected by determinism contract v2.
+// the alternative Kernel backend for large event populations.
 //
 // Events hash into buckets by the "year" of their timestamp — the integer
 // quotient year(t) = floor(t * invWidth) — with bucket index year masked by

@@ -63,7 +63,7 @@ type Kernel struct {
 	// cal, when non-nil, replaces the binary heap with the calendar-queue
 	// event list (see calendar.go). Both backends pop in the identical
 	// (time, priority, seq) total order, so they produce the same
-	// trajectory; the calendar is the contract-v2 fast path.
+	// trajectory; the calendar is faster for large event populations.
 	cal *calendar
 }
 
@@ -76,11 +76,15 @@ func NewKernel() *Kernel {
 // with amortized O(1) enqueue/dequeue instead of the O(log n) binary heap.
 // The event API and the pop order are exactly those of NewKernel — the
 // (time, priority, seq) order is total, so the trajectory cannot differ —
-// but the constant factors on the SAN executor's hot path are lower. This
-// is the backend determinism contract v2 selects.
+// but the constant factors on the SAN executor's hot path are lower once
+// many events are pending. The SAN executor picks it for wide models.
 func NewCalendarKernel() *Kernel {
 	return &Kernel{cal: newCalendar()}
 }
+
+// Calendar reports whether the kernel's event list is a calendar queue
+// (NewCalendarKernel) rather than the binary heap (NewKernel).
+func (k *Kernel) Calendar() bool { return k.cal != nil }
 
 // Now returns the current simulation time.
 func (k *Kernel) Now() float64 { return k.now }

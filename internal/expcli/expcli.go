@@ -1,6 +1,5 @@
-// Package expcli implements the experiments command-line driver shared
-// by `vcpusim experiments` and the standalone experiments binary: flag
-// parsing, figure dispatch, table/CSV rendering, and the observability
+// Package expcli implements the `vcpusim experiments` command-line
+// driver: flag parsing, figure dispatch, table/CSV rendering, and the observability
 // surface (span streams, run manifests, profiling).
 package expcli
 
@@ -31,7 +30,7 @@ func Run(args []string, out io.Writer) (err error) {
 	var (
 		figure   = fs.String("figure", "all", "which experiment: 8, 9, 10, timeslice, skew, balance, lock, hybrid, engines, faults, cluster, or all")
 		engine   = fs.String("engine", "fast", `simulation engine: "fast" or "san"`)
-		contract = fs.Int("contract", 1, "determinism contract version for the SAN engine: 1 (byte-frozen original) or 2 (ziggurat + calendar queue)")
+		contract = fs.Int("contract", 1, "determinism contract version for the SAN engine: 1 (byte-frozen inverse-transform/Box-Muller variates) or 2 (ziggurat variates)")
 		seed     = fs.Uint64("seed", 1, "experiment seed")
 		horizon  = fs.Int64("horizon", 20000, "simulated ticks per replication")
 		minRep   = fs.Int("min-reps", 10, "minimum replications per cell")

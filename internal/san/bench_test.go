@@ -64,9 +64,10 @@ func BenchmarkRunnerTandem(b *testing.B) {
 
 // BenchmarkRunnerTandemV2 is BenchmarkRunnerTandem compiled under
 // determinism contract v2: the ziggurat exponential sampler replaces the
-// -log(1-U) inversion in every arc plan and the calendar queue replaces
-// the binary heap. The PR 8 acceptance target is >= 1.5x events/s over
-// the v1 run at stations=64 with no allocs/op regression.
+// -log(1-U) inversion in every arc plan. Both contracts share the executor
+// and the kernel choice (the calendar queue from calendarMinTimed timed
+// activities, the heap below), so the sweep also shows where that
+// crossover sits.
 func BenchmarkRunnerTandemV2(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		b.Run(fmt.Sprintf("stations=%d", n), func(b *testing.B) {

@@ -14,8 +14,8 @@ import (
 var updateGoldenV2 = flag.Bool("update", false, "rewrite the contract-v2 golden fixture from the current engine")
 
 // goldenV2Cases are the (model, seed) cells pinned by the contract-v2
-// golden: exponential-clock models where the ziggurat sampler and the
-// calendar-queue kernel both engage, so the fixture freezes the v2
+// golden: exponential-clock models where the ziggurat sampler engages, so
+// the fixture freezes the v2
 // trajectory specifically (a v1 run of the same cells produces different
 // numbers — see TestGoldenContractV2DivergesFromV1).
 func goldenV2Cases() []struct {
@@ -52,7 +52,14 @@ func runGoldenV2Case(t *testing.T, build func() *Model, horizon float64, seed ui
 	if err != nil {
 		t.Fatalf("golden v2 runner: %v", err)
 	}
-	res, err := r.Run(horizon)
+	return renderGoldenRun(t, r.Instance, horizon)
+}
+
+// renderGoldenRun runs one armed instance to the horizon and renders the
+// results as name -> exact string.
+func renderGoldenRun(t *testing.T, in *Instance, horizon float64) map[string]string {
+	t.Helper()
+	res, err := in.Run(horizon)
 	if err != nil {
 		t.Fatalf("golden v2 replication: %v", err)
 	}
@@ -72,7 +79,7 @@ func runGoldenV2Case(t *testing.T, build func() *Model, horizon float64, seed ui
 }
 
 // TestGoldenContractV2Determinism pins the contract-v2 engine bit for
-// bit: ziggurat draw order and calendar-queue pop order must reproduce
+// bit: ziggurat draw order and the kernel's pop order must reproduce
 // this fixture exactly on every platform and parallelism level. Run with
 // -update to re-record — only legitimate when a change intentionally
 // declares a NEW contract version; silently re-recording v2 breaks the
@@ -97,6 +104,22 @@ func TestGoldenContractV2Determinism(t *testing.T) {
 		return
 	}
 
+	golden := loadGoldenV2(t)
+	for _, gc := range goldenV2Cases() {
+		gc := gc
+		t.Run(gc.name, func(t *testing.T) {
+			want, ok := golden[gc.name]
+			if !ok {
+				t.Fatalf("fixture has no entry %q (re-record with -update)", gc.name)
+			}
+			compareGoldenV2(t, runGoldenV2Case(t, gc.build, gc.horizon, gc.seed, ContractV2), want)
+		})
+	}
+}
+
+// loadGoldenV2 reads the contract-v2 fixture.
+func loadGoldenV2(t *testing.T) map[string]map[string]string {
+	t.Helper()
 	buf, err := os.ReadFile(goldenV2Path())
 	if err != nil {
 		t.Fatalf("missing contract-v2 golden fixture (run with -update to record): %v", err)
@@ -105,28 +128,24 @@ func TestGoldenContractV2Determinism(t *testing.T) {
 	if err := json.Unmarshal(buf, &golden); err != nil {
 		t.Fatalf("corrupt contract-v2 golden fixture: %v", err)
 	}
-	for _, gc := range goldenV2Cases() {
-		gc := gc
-		t.Run(gc.name, func(t *testing.T) {
-			want, ok := golden[gc.name]
-			if !ok {
-				t.Fatalf("fixture has no entry %q (re-record with -update)", gc.name)
-			}
-			got := runGoldenV2Case(t, gc.build, gc.horizon, gc.seed, ContractV2)
-			if len(got) != len(want) {
-				t.Errorf("value count %d, want %d", len(got), len(want))
-			}
-			for name, w := range want {
-				g, ok := got[name]
-				if !ok {
-					t.Errorf("value %s missing from run", name)
-					continue
-				}
-				if g != w {
-					t.Errorf("value %s = %s, want %s: contract-v2 trajectory diverged", name, g, w)
-				}
-			}
-		})
+	return golden
+}
+
+// compareGoldenV2 checks one rendered run against its fixture entry.
+func compareGoldenV2(t *testing.T, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("value count %d, want %d", len(got), len(want))
+	}
+	for name, w := range want {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("value %s missing from run", name)
+			continue
+		}
+		if g != w {
+			t.Errorf("value %s = %s, want %s: contract-v2 trajectory diverged", name, g, w)
+		}
 	}
 }
 
@@ -147,8 +166,8 @@ func TestGoldenContractV2SelfReproducible(t *testing.T) {
 // determinism contract, not a faster implementation of v1: on an
 // exponential-clock model the ziggurat sampler consumes the source
 // stream differently, so the trajectories must differ. (Models with only
-// deterministic or uniform clocks coincide under both contracts — the
-// calendar queue preserves the exact pop order.)
+// deterministic or uniform clocks coincide under both contracts — they
+// share the executor and kernel.)
 func TestGoldenContractV2DivergesFromV1(t *testing.T) {
 	gc := goldenV2Cases()[0]
 	v1 := runGoldenV2Case(t, gc.build, gc.horizon, gc.seed, ContractV1)

@@ -142,14 +142,34 @@ type Instance struct {
 	warmImpulses []float64
 }
 
+// calendarMinTimed is the timed-activity count from which NewInstance
+// builds a calendar-queue kernel instead of the binary heap. Each timed
+// activity has at most one pending completion, so the count bounds the
+// event population. On the BenchmarkRunnerTandem/TandemV2 sweep (tandem
+// networks with 5, 17 and 65 timed activities, both contracts, each
+// kernel forced in turn) the heap was faster at 5: a shallow heap sifts in
+// a couple of comparisons, below the calendar's bucket bookkeeping. The
+// calendar was faster at 17 (by ~6-14% in the median) and at 65 (by
+// ~20%), where heap sifting dominates the event loop. The constant sits
+// just under the smallest measured calendar win. Both kernels pop in the
+// same total order, so the choice never changes a trajectory.
+const calendarMinTimed = 16
+
 // NewInstance allocates the mutable state for running the program: a
-// kernel (heap-backed under contract v1, calendar-queue under v2),
-// reusable completion events, accumulators, and scratch buffers. The
-// instance is not armed; call Reset(seed) before the first run.
+// kernel (a binary heap for narrow models, a calendar queue from
+// calendarMinTimed timed activities up), reusable completion events,
+// accumulators, and scratch buffers. The instance is not armed; call
+// Reset(seed) before the first run.
 func (p *Program) NewInstance() (*Instance, error) {
+	return p.newInstance(len(p.timed) >= calendarMinTimed)
+}
+
+// newInstance is NewInstance with the kernel choice made by the caller, so
+// tests can run one program under both event lists.
+func (p *Program) newInstance(calendar bool) (*Instance, error) {
 	m := p.model
 	kernel := des.NewKernel()
-	if p.contract == ContractV2 {
+	if calendar {
 		kernel = des.NewCalendarKernel()
 	}
 	in := &Instance{
@@ -596,11 +616,11 @@ func (in *Instance) fire(ap *actPlan) {
 	}
 	if ap.fireCompiled {
 		if ft := ap.fireTouch; ft != nil {
-			// Fused-touch path (contract v2): one OR marks every place the
-			// plan touches plus its rate-dirty bits, and the steps skip the
-			// per-place touches. Marking before the steps keeps the dirty
-			// sets a superset of the per-step path on the error exit, which
-			// a failed replication never reads.
+			// Fused-touch path: one OR marks every place the plan touches
+			// plus its rate-dirty bits, and the steps skip the per-place
+			// touches. Marking before the steps keeps the dirty sets a
+			// superset of the per-step path on the error exit, which a
+			// failed replication never reads.
 			ar := in.dirtyArena
 			for i, w := range ft {
 				ar[i] |= w
@@ -664,24 +684,13 @@ func (in *Instance) fire(ap *actPlan) {
 // place's dependents are marked dirty. Gate closures reach the same code
 // through Place.Add; the compiled firing plan calls it directly.
 func (in *Instance) applyArcStep(st arcStep) {
-	p := st.p
-	n := p.tokens + st.delta
-	if n < 0 {
-		p.model.addErr(fmt.Errorf("san: place %s marked negative (%d)", p.name, n))
-		n = 0
-	}
-	if p.capacity > 0 && n > p.capacity {
-		p.model.addErr(fmt.Errorf("san: place %s marked %d, above its declared capacity %d", p.name, n, p.capacity))
-	}
-	p.tokens = n
-	in.touchID(p.id)
+	in.applyArcDelta(st)
+	in.touchID(st.p.id)
 }
 
 // applyArcDelta is applyArcStep without the dirty touch, for the fused-
 // touch firing path: the whole plan's touch set was already marked in one
-// OR, so only the marking change and its checks remain. Kept separate from
-// applyArcStep (rather than parameterizing it) so the frozen v1 firing
-// path compiles exactly as before.
+// OR, so only the marking change and its checks remain.
 func (in *Instance) applyArcDelta(st arcStep) {
 	p := st.p
 	n := p.tokens + st.delta
@@ -884,15 +893,10 @@ func (in *Instance) refresh() {
 		in.candTimed.or(in.prog.wildTimed)
 	}
 	// The loop body never touches candTimed (scheduling and cancellation
-	// are kernel-only), so under contract v2 the set is cleared wholesale
-	// afterwards instead of bit by bit; the error returns skip the clear,
-	// but a failed replication never refreshes again. The frozen v1 path
-	// keeps its original per-candidate clear.
-	bulk := in.prog.contract == ContractV2
+	// are kernel-only), so the set is cleared wholesale afterwards instead
+	// of bit by bit; the error returns skip the clear, but a failed
+	// replication never refreshes again.
 	for i := in.candTimed.next(0); i >= 0; i = in.candTimed.next(i + 1) {
-		if !bulk {
-			in.candTimed.clear(i)
-		}
 		ap := in.timed[i]
 		ev := in.events[i]
 		scheduled := ev.Pending()
@@ -921,9 +925,7 @@ func (in *Instance) refresh() {
 			in.aborts++
 		}
 	}
-	if bulk {
-		in.candTimed.zero()
-	}
+	in.candTimed.zero()
 }
 
 // complete is the kernel handler for a timed-activity completion.

@@ -22,6 +22,7 @@ const (
 	delayUniform              // Uniform{Low: A, High: B}
 	// Contract-v2 kinds: ziggurat samplers drawing a different — faster,
 	// but identically distributed — variate stream than the v1 formulas.
+	// They are the only part of the compiled program the contract selects.
 	delayExpZig  // Exponential{Rate: A} via rng.ExpZig
 	delayNormZig // Normal{Mu: A, Sigma: B} via rng.NormZig
 )
@@ -66,9 +67,7 @@ type actPlan struct {
 	// enabP/enabN cache the one-arc special case of enabArcs (by far the
 	// most common compiled predicate): when enabP is non-nil the enabling
 	// test is the single inline comparison enabP.tokens >= enabN, saving
-	// refresh a call and a slice walk per reconsideration. Populated only
-	// under contract v2: the executor rewrites live behind the versioned
-	// fast path so the frozen v1 path stays literally untouched.
+	// refresh a call and a slice walk per reconsideration.
 	enabP *Place
 	enabN int
 
@@ -84,9 +83,8 @@ type actPlan struct {
 	// place in fireArcs plus the plan's rateIdx bits, pre-computed over the
 	// arena's full stride: a compiled firing always touches the same
 	// places, so one OR of these words replaces the per-place touches and
-	// the rate-dirty loop. Populated only under contract v2 and only for
-	// narrow arenas (stride ≤ 4), where the unconditional OR beats the
-	// sparse op lists.
+	// the rate-dirty loop. Populated only for narrow arenas (stride ≤ 4),
+	// where the unconditional OR beats the sparse op lists.
 	fireTouch []uint64
 
 	// fuseCont marks instantaneous gate-free activities whose firing can
@@ -159,10 +157,8 @@ type Program struct {
 	// small: stride consecutive words per place id, ORed onto the arena's
 	// first stride words. mask111 is the three-words case (every dirty set
 	// fits one word); mask4 covers strides of four (one of the sets spills
-	// into a second word — e.g. 65–128 timed activities), and is enabled
-	// only under contract v2 (the frozen v1 path keeps its original dense/
-	// sparse split). Wider models use touchOps: a sparse per-place list of
-	// (word, mask) ops into the arena.
+	// into a second word — e.g. 65–128 timed activities). Wider models use
+	// touchOps: a sparse per-place list of (word, mask) ops into the arena.
 	touchMasks []uint64
 	touchOps   [][]touchOp
 	mask111    bool
@@ -188,8 +184,7 @@ type Program struct {
 
 	// contract is the determinism contract version the program was
 	// compiled under (ContractV1 or ContractV2); it selects the delay
-	// sampling formulas above and the event-list backend NewInstance
-	// builds.
+	// sampling formulas above and nothing else.
 	contract int
 }
 
@@ -273,23 +268,24 @@ func (p *Program) FusedActivities() []string {
 }
 
 // Determinism contract versions. The contract names the exact byte-level
-// reproduction guarantee a compiled program honors: which sampling formulas
-// and which event-list backend produce the trajectory. Golden fixtures are
-// recorded per contract and never mixed.
+// reproduction guarantee a compiled program honors, which comes down to the
+// variate algorithm for exponential and normal delays: the executor and the
+// event kernel are shared by every contract and trajectory-neutral. Golden
+// fixtures are recorded per contract and never mixed.
 const (
-	// ContractV1 is the original engine, byte-frozen: inversion/Box-Muller
-	// sampling and the binary-heap kernel. Every fixture recorded before
-	// the contract existed is a v1 fixture.
+	// ContractV1 is the original variate stream, byte-frozen: inverse-
+	// transform exponentials and Box-Muller normals. Every fixture recorded
+	// before the contract existed is a v1 fixture.
 	ContractV1 = 1
-	// ContractV2 is the fast path: ziggurat exponential/normal sampling
-	// (a different variate stream from the same distributions) and the
-	// calendar-queue kernel. v2 is self-reproducible bit-for-bit across
-	// runs, parallelism levels, and pooled vs fresh instances, but its
-	// trajectories diverge from v1 wherever ziggurat draws engage.
+	// ContractV2 is ziggurat exponential/normal sampling: a faster, different
+	// variate stream from the same distributions. v2 is self-reproducible
+	// bit-for-bit across runs, parallelism levels, and pooled vs fresh
+	// instances, but its trajectories diverge from v1 wherever ziggurat
+	// draws engage.
 	ContractV2 = 2
 	// DefaultContract is what Compile uses when no WithContract option is
-	// given: the frozen v1 engine, so all existing callers and fixtures
-	// are untouched.
+	// given: the frozen v1 variate stream, so all existing callers and
+	// fixtures are untouched.
 	DefaultContract = ContractV1
 )
 
@@ -527,7 +523,7 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		if a.gatePreds == 0 && len(preds) == len(a.preds) {
 			ap.enabArcs = preds
 			ap.enabCompiled = true
-			if len(preds) == 1 && cfg.contract == ContractV2 {
+			if len(preds) == 1 {
 				ap.enabP = preds[0].p
 				ap.enabN = preds[0].n
 			}
@@ -599,13 +595,15 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 	p.wI = (len(p.instants) + 63) / 64
 	p.wR = (len(m.rates) + 63) / 64
 	p.mask111 = p.wT == 1 && p.wI == 1 && p.wR == 1
-	p.mask4 = p.wT+p.wI+p.wR == 4 && cfg.contract == ContractV2
+	p.mask4 = p.wT+p.wI+p.wR == 4
 	ids := len(m.places) + len(m.extPlaces)
 	stride := p.wT + p.wI + p.wR
-	// The fused firing rows (contract v2, below) live in the same backing
-	// array as the per-place rows, so compiling them costs no allocation.
+	// The fused firing rows (narrow arenas only, below) live in the same
+	// backing array as the per-place rows, so compiling them costs no
+	// allocation.
+	fuseRows := stride <= 4
 	fusedCap := 0
-	if cfg.contract == ContractV2 && stride <= 4 {
+	if fuseRows {
 		fusedCap = (len(p.timed) + len(p.instants)) * stride
 	}
 	rows := make([]uint64, ids*stride, ids*stride+fusedCap)
@@ -641,12 +639,12 @@ func Compile(model *Model, opts ...CompileOption) (*Program, error) {
 		}
 	}
 
-	// Fused firing touches (contract v2, narrow arenas): pre-union each
-	// compiled firing plan's dirty rows and rate-dirty bits so fire marks
-	// everything with one OR. The union is exactly the set the per-place
-	// touches and the rateIdx loop would mark, so the executor's dirty
-	// state — and with it the trajectory — is unchanged.
-	if cfg.contract == ContractV2 && stride <= 4 {
+	// Fused firing touches (narrow arenas): pre-union each compiled firing
+	// plan's dirty rows and rate-dirty bits so fire marks everything with
+	// one OR. The union is exactly the set the per-place touches and the
+	// rateIdx loop would mark, so the executor's dirty state — and with it
+	// the trajectory — is unchanged.
+	if fuseRows {
 		// The plans' fused rows fill the spare capacity reserved on rows.
 		fused := rows[len(rows):len(rows):cap(rows)]
 		fuseTouch := func(ap *actPlan) {

@@ -34,6 +34,9 @@ go build ./...
 echo "== go test ./..."
 go test ./...
 
+echo "== perfbench module: go vet + go test (nested module, outside the root ./...)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
