@@ -11,9 +11,9 @@ import (
 // benchTopology builds an n-host fleet for throughput measurement: every
 // host is a 2-PCPU machine with one resident 2-VCPU VM and two parked
 // 1-VCPU slots, an arrival wave dispatches one 1-VCPU VM per host, and
-// threshold migration is armed — so the measured path includes the host
-// heap, the cluster event queue, placement, and migration, not just the
-// per-host step loop.
+// threshold migration is armed — so the measured path includes the
+// windowed host advance, the cluster event queue, placement, and
+// migration, not just the per-host step loop.
 func benchTopology(hosts int, horizon float64) *Topology {
 	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
 	t := &Topology{

@@ -157,7 +157,8 @@ type queuedVM struct {
 	arrived float64
 }
 
-// Orchestrator runs a topology's hosts under one global clock. It is the
+// Orchestrator runs a topology's hosts under one global clock, advancing
+// all hosts in windows between cluster events (see Replicate). It is the
 // cluster counterpart of core.Worker: built once per worker slot
 // (compiling every host shard), then driven for any number of
 // replications, each a pure function of its seed. Not goroutine-safe —
@@ -166,11 +167,6 @@ type Orchestrator struct {
 	topo   *Topology
 	policy PlacementPolicy
 	hosts  []*hostShard
-
-	// hheap is an index min-heap over the hosts' next-event times, with
-	// host ID breaking ties — the global total order (time, hostID).
-	hheap []int
-	hpos  []int // hpos[host] = position in hheap
 
 	events eventHeap
 	seq    int
@@ -263,8 +259,6 @@ func New(topo *Topology) (*Orchestrator, error) {
 			o.hosts = append(o.hosts, h)
 		}
 	}
-	o.hheap = make([]int, 0, len(o.hosts))
-	o.hpos = make([]int, len(o.hosts))
 	o.loads = make([]HostLoad, len(o.hosts))
 	o.lastHost = make([]map[string]float64, len(o.hosts))
 	return o, nil
@@ -272,6 +266,9 @@ func New(topo *Topology) (*Orchestrator, error) {
 
 // SetSink installs a telemetry sink receiving cluster.dispatch and
 // cluster.migrate spans (plus each host's fault spans); nil removes it.
+// Host fault spans are emitted host-major within a window between
+// cluster events, not in global time order; each carries its own
+// virtual time.
 func (o *Orchestrator) SetSink(s obs.Sink) {
 	o.sink = s
 	for _, h := range o.hosts {
@@ -371,82 +368,19 @@ func (o *Orchestrator) push(ev clusterEvent) {
 	o.events.push(ev)
 }
 
-// Host-heap operations: an index min-heap keyed lazily by each host's
-// PeekNextEventTime, host ID breaking ties. Keys change only when a host
-// processes an event or runs an Exec, and the caller re-fixes exactly
-// that host, so the lazy keys are always coherent.
-func (o *Orchestrator) hkey(h int) float64 { return o.hosts[h].inst.PeekNextEventTime() }
-
-func (o *Orchestrator) hless(a, b int) bool {
-	ta, tb := o.hkey(a), o.hkey(b)
-	if ta != tb {
-		return ta < tb
-	}
-	return a < b
-}
-
-func (o *Orchestrator) hswap(i, j int) {
-	o.hheap[i], o.hheap[j] = o.hheap[j], o.hheap[i]
-	o.hpos[o.hheap[i]] = i
-	o.hpos[o.hheap[j]] = j
-}
-
-func (o *Orchestrator) hup(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !o.hless(o.hheap[i], o.hheap[p]) {
-			break
-		}
-		o.hswap(i, p)
-		i = p
-	}
-}
-
-func (o *Orchestrator) hdown(i int) {
-	n := len(o.hheap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && o.hless(o.hheap[l], o.hheap[m]) {
-			m = l
-		}
-		if r < n && o.hless(o.hheap[r], o.hheap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		o.hswap(i, m)
-		i = m
-	}
-}
-
-// hfix restores the heap after host h's key changed.
-func (o *Orchestrator) hfix(h int) {
-	i := o.hpos[h]
-	o.hup(i)
-	o.hdown(o.hpos[h])
-}
-
-// Replicate runs one cluster replication seeded with seed: all hosts and
-// the cluster event queue advance in one global total order — ties at
-// equal virtual time go cluster events first (seq order), then hosts by
-// ID — and the result is the fleet metric map. Same seed, same topology:
-// same map, bit for bit, at any parallelism.
+// Replicate runs one cluster replication seeded with seed and returns
+// the fleet metric map. Hosts share no state between cluster events, so
+// it advances in windows: every host, in ID order, processes its events
+// before the next cluster event time ct (capped at the horizon), then the
+// cluster events at ct run in seq order. Each cluster event thus sees
+// every host as the global total order would show it (cluster events
+// before host events at equal times, hosts by ID). Same seed, same
+// topology: same map, bit for bit, at any parallelism.
 func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]float64, error) {
 	if err := o.arm(seed); err != nil {
 		return nil, err
 	}
 	o.seedEvents()
-	o.hheap = o.hheap[:0]
-	for i := range o.hosts {
-		o.hheap = append(o.hheap, i)
-		o.hpos[i] = i
-	}
-	for i := len(o.hosts)/2 - 1; i >= 0; i-- {
-		o.hdown(i)
-	}
-
 	horizon := o.topo.Horizon
 	o.ctxCheck = 0
 	for {
@@ -454,33 +388,60 @@ func (o *Orchestrator) Replicate(ctx context.Context, seed uint64) (map[string]f
 		if len(o.events) > 0 {
 			ct = o.events[0].time
 		}
-		ht := math.Inf(1)
-		if len(o.hheap) > 0 {
-			ht = o.hkey(o.hheap[0])
+		if err := o.advanceHosts(ctx, math.Min(ct, horizon)); err != nil {
+			return nil, err
 		}
-		if ct >= horizon && ht >= horizon {
+		if ct >= horizon {
 			break
 		}
-		if ct <= ht {
-			ev := o.events.pop()
-			if err := o.handle(ev); err != nil {
+		for len(o.events) > 0 && o.events[0].time == ct {
+			if err := o.handle(o.events.pop()); err != nil {
 				return nil, err
 			}
-		} else {
-			h := o.hheap[0]
-			if err := o.hosts[h].inst.ProcessNextEvent(); err != nil {
-				return nil, fmt.Errorf("cluster: host %s: %w", o.hosts[h].name, err)
-			}
-			o.hfix(h)
-		}
-		if o.ctxCheck++; o.ctxCheck >= 8192 {
-			o.ctxCheck = 0
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("cluster: replication cancelled: %w", err)
+			if err := o.countEvent(ctx); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return o.collect()
+}
+
+// advanceHosts runs every host, in ID order, through its events before
+// end. A failing host bounds the hosts after it to strictly earlier
+// events, so the failure returned is the one the total order reaches
+// first: the earliest event time, lowest host ID on ties.
+func (o *Orchestrator) advanceHosts(ctx context.Context, end float64) error {
+	var failure error
+	for _, h := range o.hosts {
+		for {
+			t := h.inst.PeekNextEventTime()
+			if t >= end {
+				break
+			}
+			if err := h.inst.ProcessNextEvent(); err != nil {
+				failure = fmt.Errorf("cluster: host %s: %w", h.name, err)
+				end = t
+				break
+			}
+			if err := o.countEvent(ctx); err != nil {
+				return err
+			}
+		}
+	}
+	return failure
+}
+
+// countEvent counts one processed event and checks for cancellation
+// every 8192 events.
+func (o *Orchestrator) countEvent(ctx context.Context) error {
+	if o.ctxCheck++; o.ctxCheck < 8192 {
+		return nil
+	}
+	o.ctxCheck = 0
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("cluster: replication cancelled: %w", err)
+	}
+	return nil
 }
 
 // handle executes one cluster event and then retries the placement
@@ -544,8 +505,8 @@ func (o *Orchestrator) snapshotLoads(vcpus int) []HostLoad {
 }
 
 // place routes one VM through the placement policy; false means no host
-// fits and the VM must queue. A failed admission is an error, not a
-// queued VM.
+// fits and the VM must queue. A policy choosing a host that does not
+// fit the VM, and a failed admission, are errors, not queued VMs.
 func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
 	hid := o.policy.Place(vcpus, o.snapshotLoads(vcpus))
 	if hid < 0 {
@@ -554,9 +515,7 @@ func (o *Orchestrator) place(vcpus int, now, arrived float64) (bool, error) {
 	h := o.hosts[hid]
 	slot := h.fits(vcpus)
 	if slot < 0 {
-		// The policy picked a host that does not fit; treat as queued
-		// rather than crash — a policy bug must not kill the replication.
-		return false, nil
+		return false, fmt.Errorf("cluster: placement policy %s picked host %s, which has no free slot for a %d-VCPU VM", o.policy.Name(), h.name, vcpus)
 	}
 	if err := o.admit(h, slot); err != nil {
 		return false, fmt.Errorf("cluster: host %s: admitting slot %d: %w", h.name, slot, err)
@@ -610,7 +569,6 @@ func (o *Orchestrator) migrationCheck(t float64) error {
 				h.sys.EvictVM(slot)
 				parkErr = h.sys.SetVMParked(slot, true)
 			})
-			o.hfix(h.id)
 			if err == nil {
 				err = parkErr
 			}

@@ -2,13 +2,13 @@
 // shared-clock multi-host orchestrator built on the san.Instance step
 // primitives (BeginRun / HasPendingEvents / PeekNextEventTime /
 // ProcessNextEvent / EndRun). Each host is an independent compiled
-// system shard — its own core.System, san.Program, and san.Instance —
-// and the orchestrator repeatedly advances whichever host holds the
-// globally earliest pending event, interleaving cluster-level events (VM
-// arrivals routed by a pluggable placement policy, threshold-triggered
-// VM migration as drain / transfer-delay / re-admit, host degradation
-// via the existing per-host fault surface) in the same deterministic
-// total order.
+// system shard — its own core.System, san.Program, and san.Instance.
+// Between cluster-level events (VM arrivals routed by a pluggable
+// placement policy, threshold-triggered VM migration as drain /
+// transfer-delay / re-admit) the orchestrator advances every host, in ID
+// order, up to the next cluster event; host degradation runs inside each
+// host through the existing per-host fault surface. The result is the
+// one deterministic total order of all events.
 package cluster
 
 import (

@@ -41,7 +41,7 @@ echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
 echo "== pooled-determinism gate (goldens + pooled/fresh equivalence, uncached)"
-go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments
+go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments ./internal/cluster
 
 echo "== observability gate (manifest write + schema/counter validation)"
 obsdir=$(mktemp -d)
