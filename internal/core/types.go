@@ -142,17 +142,27 @@ func (a *Actions) Preempt(vcpu int) {
 	a.preempts = append(a.preempts, vcpu)
 }
 
-// Assigns returns the recorded assignments.
-func (a *Actions) Assigns() []Assign { return append([]Assign(nil), a.assigns...) }
+// Assigns returns a copy of the recorded assignments.
+func (a *Actions) Assigns() []Assign { return a.AppendAssigns(nil) }
 
-// Preempts returns the recorded preemptions.
-func (a *Actions) Preempts() []int { return append([]int(nil), a.preempts...) }
+// Preempts returns a copy of the recorded preemptions.
+func (a *Actions) Preempts() []int { return a.AppendPreempts(nil) }
+
+// AppendAssigns appends the recorded assignments to dst and returns the
+// extended slice, so an engine can copy each tick's decisions into a buffer
+// it reuses instead of allocating.
+func (a *Actions) AppendAssigns(dst []Assign) []Assign { return append(dst, a.assigns...) }
+
+// AppendPreempts appends the recorded preemptions to dst, like
+// AppendAssigns.
+func (a *Actions) AppendPreempts(dst []int) []int { return append(dst, a.preempts...) }
 
 // Empty reports whether no decision was recorded.
 func (a *Actions) Empty() bool { return len(a.assigns) == 0 && len(a.preempts) == 0 }
 
-// reset clears the recorded decisions, retaining capacity for reuse.
-func (a *Actions) reset() {
+// Reset clears the recorded decisions, retaining capacity, so one Actions
+// can collect every tick's decisions without allocating.
+func (a *Actions) Reset() {
 	a.assigns = a.assigns[:0]
 	a.preempts = a.preempts[:0]
 }

@@ -46,8 +46,9 @@ type vmState struct {
 	blocked  bool
 	numReady int
 	gen      *workload.Generator
-	pending  *workload.Workload // generated but not yet dispatched
-	vcpus    []int              // global VCPU ids, sibling order
+	pending  workload.Workload // generated but not yet dispatched
+	queued   bool              // pending holds a workload
+	vcpus    []int             // global VCPU ids, sibling order
 
 	jobs     int64 // workloads dispatched (in the measured window)
 	unblocks int64 // barrier releases (in the measured window)
@@ -81,6 +82,16 @@ type Engine struct {
 
 	// Tracer, if any, observes schedule-in/out transitions.
 	tracer Tracer
+
+	// Per-tick scratch reused across ticks so the loop does not allocate:
+	// the views handed to the scheduler, its Actions, the copies of its
+	// decisions being applied, and the per-VM spinlock predicate.
+	views      []core.VCPUView
+	pviews     []core.PCPUView
+	acts       core.Actions
+	assigns    []core.Assign
+	preempts   []int
+	spinFrozen []bool
 }
 
 // Stats is the fast engine's counter snapshot, the tick-loop counterpart
@@ -195,15 +206,23 @@ func (e *Engine) RunInterval(warmup, horizon int64) (map[string]float64, error) 
 	e.now++
 
 	for ; e.now < horizon; e.now++ {
-		e.process()
-		e.jobFlow()
-		if err := e.hypervisorStep(); err != nil {
+		if err := e.tick(); err != nil {
 			return nil, err
 		}
-		e.jobFlow()
-		e.sample()
 	}
 	return e.results(), nil
+}
+
+// tick simulates one tick after the first, at e.now.
+func (e *Engine) tick() error {
+	e.process()
+	e.jobFlow()
+	if err := e.hypervisorStep(); err != nil {
+		return err
+	}
+	e.jobFlow()
+	e.sample()
+	return nil
 }
 
 // process advances every BUSY VCPU's workload by one tick. Under the
@@ -211,7 +230,7 @@ func (e *Engine) RunInterval(warmup, horizon int64) (map[string]float64, error) 
 // without progress (an inactive holder cannot complete mid-step, so the
 // per-VM predicate is stable across the loop).
 func (e *Engine) process() {
-	preempted := make([]bool, len(e.vms))
+	preempted := e.spinFrozen
 	for vi := range e.vms {
 		preempted[vi] = e.vms[vi].syncKind == workload.SyncSpinlock && e.lockHolderPreempted(vi)
 	}
@@ -253,17 +272,17 @@ func (e *Engine) jobFlow() {
 				}
 				progress = true
 			}
-			if vm.pending == nil && !vm.blocked && vm.numReady > 0 {
-				w := vm.gen.Next()
-				vm.pending = &w
+			if !vm.queued && !vm.blocked && vm.numReady > 0 {
+				vm.pending = vm.gen.Next()
+				vm.queued = true
 				progress = true
 			}
-			if vm.pending != nil && vm.numReady > 0 && e.dispatchable(vi) {
-				e.dispatch(vm, *vm.pending)
+			if vm.queued && vm.numReady > 0 && e.dispatchable(vi) {
+				e.dispatch(vm, vm.pending)
 				if e.now >= e.warmup {
 					vm.jobs++
 				}
-				vm.pending = nil
+				vm.queued = false
 				progress = true
 			}
 			done = !progress
@@ -363,7 +382,14 @@ func (e *Engine) hypervisorStep() error {
 		}
 	}
 
-	views := make([]core.VCPUView, len(e.vcpus))
+	if e.views == nil {
+		// The first tick sizes the per-tick scratch (process runs only
+		// after it), keeping New as cheap as before.
+		e.views = make([]core.VCPUView, len(e.vcpus))
+		e.pviews = make([]core.PCPUView, len(e.pcpus))
+		e.spinFrozen = make([]bool, len(e.vms))
+	}
+	views := e.views
 	for id := range e.vcpus {
 		v := &e.vcpus[id]
 		views[id] = core.VCPUView{
@@ -379,14 +405,14 @@ func (e *Engine) hypervisorStep() error {
 			Runtime:         v.runtime,
 		}
 	}
-	pviews := make([]core.PCPUView, len(e.pcpus))
+	pviews := e.pviews
 	for i, v := range e.pcpus {
 		pviews[i] = core.PCPUView{ID: i, VCPU: v}
 	}
 
-	var acts core.Actions
-	e.sched.Schedule(e.now, views, pviews, &acts)
-	return e.apply(&acts)
+	e.acts.Reset()
+	e.sched.Schedule(e.now, views, pviews, &e.acts)
+	return e.apply(&e.acts)
 }
 
 // scheduleOut transitions a VCPU to INACTIVE, freeing its PCPU.
@@ -409,7 +435,9 @@ func (e *Engine) scheduleOut(id int, expired bool) {
 // apply validates and applies the scheduling function's decisions:
 // preemptions first, then assignments — mirroring core.System.
 func (e *Engine) apply(acts *core.Actions) error {
-	for _, id := range acts.Preempts() {
+	e.preempts = acts.AppendPreempts(e.preempts[:0])
+	e.assigns = acts.AppendAssigns(e.assigns[:0])
+	for _, id := range e.preempts {
 		if id < 0 || id >= len(e.vcpus) {
 			return fmt.Errorf("fastsim: scheduler %q preempted unknown VCPU %d", e.sched.Name(), id)
 		}
@@ -418,7 +446,7 @@ func (e *Engine) apply(acts *core.Actions) error {
 		}
 		e.scheduleOut(id, false)
 	}
-	for _, a := range acts.Assigns() {
+	for _, a := range e.assigns {
 		switch {
 		case a.VCPU < 0 || a.VCPU >= len(e.vcpus):
 			return fmt.Errorf("fastsim: scheduler %q assigned unknown VCPU %d", e.sched.Name(), a.VCPU)

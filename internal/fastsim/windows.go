@@ -95,13 +95,9 @@ func (e *Engine) RunWindowed(warmup, horizon, window int64) ([]map[string]float6
 	flush()
 
 	for ; e.now < horizon; e.now++ {
-		e.process()
-		e.jobFlow()
-		if err := e.hypervisorStep(); err != nil {
+		if err := e.tick(); err != nil {
 			return nil, err
 		}
-		e.jobFlow()
-		e.sample()
 		flush()
 	}
 	return out, nil

@@ -25,13 +25,16 @@ func benchViews() ([]core.VCPUView, []core.PCPUView) {
 	return vcpus, pcpus
 }
 
+// benchSchedule reuses one Actions, as both engines do, so the reported
+// allocations are the scheduler's own.
 func benchSchedule(b *testing.B, s core.Scheduler) {
 	b.Helper()
 	vcpus, pcpus := benchViews()
+	var acts core.Actions
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var acts core.Actions
+		acts.Reset()
 		s.Schedule(int64(i), vcpus, pcpus, &acts)
 	}
 }
@@ -48,4 +51,41 @@ func BenchmarkBalanceSchedule(b *testing.B) { benchSchedule(b, NewBalance(30)) }
 
 func BenchmarkCreditSchedule(b *testing.B) {
 	benchSchedule(b, NewCredit(CreditParams{Timeslice: 30}))
+}
+
+// TestScheduleAllocFree pins that a scheduling step allocates nothing once
+// the first call has built the gang table and sized the buffers. The
+// harness drives each scheduler through contended states (expiries,
+// co-stops, gang co-starts); at intervals the current state is scheduled
+// repeatedly, reusing one Actions as both engines do.
+func TestScheduleAllocFree(t *testing.T) {
+	cases := map[string]func() core.Scheduler{
+		"RRS":    func() core.Scheduler { return NewRoundRobin(7) },
+		"SCS":    func() core.Scheduler { return NewStrictCo(7) },
+		"RCS":    func() core.Scheduler { return NewRelaxedCo(RelaxedCoParams{Timeslice: 7, EnterSkew: 2, ExitSkew: 1}) },
+		"Credit": func() core.Scheduler { return NewCredit(CreditParams{Timeslice: 7, Period: 5}) },
+		"Hybrid": func() core.Scheduler { return NewHybrid(HybridParams{Timeslice: 7, ConcurrentVMs: []int{1}}) },
+	}
+	for _, name := range []string{"RRS", "SCS", "RCS", "Credit", "Hybrid"} {
+		t.Run(name, func(t *testing.T) {
+			h := newHarness(t, cases[name](), 3, 2, 3, 1, 2)
+			// Give the Actions room for any one call's decisions, so only
+			// the scheduler's own allocations are counted.
+			var acts core.Actions
+			for range h.vcpus {
+				acts.Assign(0, 0, 1)
+				acts.Preempt(0)
+			}
+			step := func() {
+				acts.Reset()
+				h.sched.Schedule(h.now, h.vcpus, h.pcpus, &acts)
+			}
+			for round := 0; round < 40; round++ {
+				h.run(13)
+				if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+					t.Fatalf("t=%d: Schedule allocated %v times per call", h.now, allocs)
+				}
+			}
+		})
+	}
 }

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"sort"
+	"slices"
 
 	"vcpusim/internal/core"
 )
@@ -20,6 +20,8 @@ type Credit struct {
 
 	credits  []float64
 	lastFill int64
+	gangs    gangs
+	waiting  []int // per-tick scratch: waiting VCPU IDs
 }
 
 var _ core.Scheduler = (*Credit)(nil)
@@ -62,17 +64,16 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 	// VM's VCPUs; cap accumulation at one period's worth to bound bursts.
 	if now-c.lastFill >= c.period {
 		c.lastFill = now
-		byVM := core.SiblingsOf(vcpus)
-		vms := core.VMs(vcpus)
+		g := &c.gangs
+		g.sync(vcpus)
 		totalWeight := 0.0
-		for _, vm := range vms {
+		for _, vm := range g.vms {
 			totalWeight += c.weight(vm)
 		}
 		if totalWeight > 0 {
 			capacity := float64(c.period) * float64(len(pcpus))
-			for _, vm := range vms {
-				gang := byVM[vm]
-				share := capacity * c.weight(vm) / totalWeight / float64(len(gang))
+			for i, gang := range g.members {
+				share := capacity * c.weight(g.vms[i]) / totalWeight / float64(len(gang))
 				for _, id := range gang {
 					c.credits[id] += share
 					if c.credits[id] > capacity {
@@ -83,25 +84,35 @@ func (c *Credit) Schedule(now int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 		}
 	}
 	// Grant idle PCPUs to the richest waiting VCPUs.
-	var waiting []int
+	waiting := c.waiting[:0]
 	for _, v := range vcpus {
 		if v.Status == core.Inactive {
 			waiting = append(waiting, v.ID)
 		}
 	}
-	sort.Slice(waiting, func(i, j int) bool {
-		if c.credits[waiting[i]] != c.credits[waiting[j]] {
-			return c.credits[waiting[i]] > c.credits[waiting[j]]
-		}
-		return waiting[i] < waiting[j]
-	})
-	idle := core.IdlePCPUs(pcpus)
-	for i, p := range idle {
+	c.waiting = waiting
+	slices.SortFunc(waiting, c.richerFirst)
+	i := 0
+	for _, p := range pcpus {
 		if i >= len(waiting) {
 			break
 		}
-		acts.Assign(waiting[i], p, c.timeslice)
+		if p.Idle() {
+			acts.Assign(waiting[i], p.ID, c.timeslice)
+			i++
+		}
 	}
+}
+
+// richerFirst orders VCPU IDs by descending credit, then ascending ID.
+func (c *Credit) richerFirst(a, b int) int {
+	switch {
+	case c.credits[a] > c.credits[b]:
+		return -1
+	case c.credits[a] < c.credits[b]:
+		return 1
+	}
+	return a - b
 }
 
 func (c *Credit) weight(vm int) float64 {

@@ -20,7 +20,11 @@ type Hybrid struct {
 	timeslice  int64
 	concurrent map[int]bool
 	name       string
-	next       int // round-robin pointer over schedulable entities
+	next       int // round-robin pointer over entities
+	gangs      gangs
+	// entities are the schedulable units in rotation order: a whole gang
+	// or a single VCPU, rebuilt whenever the gang table is.
+	entities [][]int
 }
 
 var _ core.Scheduler = (*Hybrid)(nil)
@@ -54,42 +58,39 @@ func NewHybrid(p HybridParams) *Hybrid {
 // Name implements core.Scheduler.
 func (h *Hybrid) Name() string { return h.name }
 
-// entity is one schedulable unit: a whole gang or a single VCPU.
-type entity struct {
-	vcpus []int
-}
-
 // Schedule implements core.Scheduler.
 func (h *Hybrid) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	byVM := core.SiblingsOf(vcpus)
-	vms := core.VMs(vcpus)
-	var entities []entity
-	for _, vm := range vms {
-		if h.concurrent[vm] {
-			entities = append(entities, entity{vcpus: byVM[vm]})
-			continue
-		}
-		for _, id := range byVM[vm] {
-			entities = append(entities, entity{vcpus: []int{id}})
+	g := &h.gangs
+	if g.sync(vcpus) {
+		h.entities = h.entities[:0]
+		for i, gang := range g.members {
+			if h.concurrent[g.vms[i]] {
+				h.entities = append(h.entities, gang)
+				continue
+			}
+			for k := range gang {
+				h.entities = append(h.entities, gang[k:k+1])
+			}
 		}
 	}
+	entities := h.entities
 	if len(entities) == 0 {
 		return
 	}
 	h.next %= len(entities)
 
-	idle := core.IdlePCPUs(pcpus)
+	idle := g.idlePCPUs(pcpus)
 	scheduledFirst := -1
 	for i := 0; i < len(entities) && len(idle) > 0; i++ {
 		pos := (h.next + i) % len(entities)
 		e := entities[pos]
-		if len(e.vcpus) > len(idle) || !allInactive(e.vcpus, vcpus) {
+		if len(e) > len(idle) || !allInactive(e, vcpus) {
 			continue
 		}
-		for j, id := range e.vcpus {
+		for j, id := range e {
 			acts.Assign(id, idle[j], h.timeslice)
 		}
-		idle = idle[len(e.vcpus):]
+		idle = idle[len(e):]
 		if scheduledFirst < 0 {
 			scheduledFirst = pos
 		}

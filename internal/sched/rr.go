@@ -10,8 +10,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vcpusim/internal/core"
 )
@@ -45,14 +46,16 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 		return
 	}
 	r.cursor %= len(vcpus)
-	idle := core.IdlePCPUs(pcpus)
 	scanned := 0
-	for _, p := range idle {
+	for _, p := range pcpus {
+		if !p.Idle() {
+			continue
+		}
 		assigned := false
 		for ; scanned < len(vcpus); scanned++ {
 			id := (r.cursor + scanned) % len(vcpus)
 			if vcpus[id].Status == core.Inactive {
-				acts.Assign(id, p, r.timeslice)
+				acts.Assign(id, p.ID, r.timeslice)
 				scanned++
 				assigned = true
 				break
@@ -66,15 +69,18 @@ func (r *RoundRobin) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUV
 }
 
 // vcpuQueue is a FIFO of waiting VCPUs with set semantics: a VCPU appears
-// at most once. Shared by the queue-based schedulers.
+// at most once. Shared by the queue-based schedulers. Its buffers are kept
+// between calls, so a steady-state tick allocates nothing.
 type vcpuQueue struct {
 	order  []int
-	member map[int]bool
+	member []bool // indexed by VCPU ID, grown on demand
+	fresh  []core.VCPUView
 }
 
-func newVCPUQueue() *vcpuQueue {
-	return &vcpuQueue{member: make(map[int]bool)}
-}
+func newVCPUQueue() *vcpuQueue { return &vcpuQueue{} }
+
+// has reports whether id is queued.
+func (q *vcpuQueue) has(id int) bool { return id >= 0 && id < len(q.member) && q.member[id] }
 
 // admitInactive appends every INACTIVE VCPU not yet queued. VCPUs admitted
 // in the same call are ordered least-served first (ascending cumulative
@@ -82,26 +88,33 @@ func newVCPUQueue() *vcpuQueue {
 // ID order would systematically favor low IDs at every synchronized
 // expiry wave.
 func (q *vcpuQueue) admitInactive(vcpus []core.VCPUView) {
-	var fresh []core.VCPUView
+	q.fresh = q.fresh[:0]
 	for _, v := range vcpus {
-		if v.Status == core.Inactive && !q.member[v.ID] {
-			fresh = append(fresh, v)
+		if v.Status == core.Inactive && !q.has(v.ID) {
+			q.fresh = append(q.fresh, v)
 		}
 	}
-	sort.Slice(fresh, func(i, j int) bool {
-		if fresh[i].Runtime != fresh[j].Runtime {
-			return fresh[i].Runtime < fresh[j].Runtime
-		}
-		return fresh[i].ID < fresh[j].ID
-	})
-	for _, v := range fresh {
+	// (Runtime, ID) keys are unique, so any correct sort yields this order.
+	slices.SortFunc(q.fresh, leastServedFirst)
+	for _, v := range q.fresh {
 		q.push(v.ID)
 	}
 }
 
+// leastServedFirst orders VCPUs by ascending (Runtime, ID).
+func leastServedFirst(a, b core.VCPUView) int {
+	if a.Runtime != b.Runtime {
+		return cmp.Compare(a.Runtime, b.Runtime)
+	}
+	return a.ID - b.ID
+}
+
 func (q *vcpuQueue) push(id int) {
-	if q.member[id] {
+	if q.has(id) {
 		return
+	}
+	for id >= len(q.member) {
+		q.member = append(q.member, false)
 	}
 	q.order = append(q.order, id)
 	q.member[id] = true
@@ -112,29 +125,31 @@ func (q *vcpuQueue) pop() (int, bool) {
 		return 0, false
 	}
 	id := q.order[0]
-	q.order = q.order[1:]
-	delete(q.member, id)
+	q.removeAt(0)
 	return id, true
 }
 
 // remove deletes id from the queue wherever it is.
 func (q *vcpuQueue) remove(id int) {
-	if !q.member[id] {
+	if !q.has(id) {
 		return
 	}
 	for i, v := range q.order {
 		if v == id {
-			q.order = append(q.order[:i], q.order[i+1:]...)
-			break
+			q.removeAt(i)
+			return
 		}
 	}
-	delete(q.member, id)
+}
+
+// removeAt deletes the entry at position i, shifting the tail down in
+// place so the buffer's capacity is kept.
+func (q *vcpuQueue) removeAt(i int) {
+	q.member[q.order[i]] = false
+	q.order = append(q.order[:i], q.order[i+1:]...)
 }
 
 // len returns the number of queued VCPUs.
 func (q *vcpuQueue) len() int { return len(q.order) }
-
-// snapshot returns the queue contents head-first.
-func (q *vcpuQueue) snapshot() []int { return append([]int(nil), q.order...) }
 
 func (q *vcpuQueue) String() string { return fmt.Sprint(q.order) }

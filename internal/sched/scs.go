@@ -16,7 +16,8 @@ import (
 // Figure 8's one-PCPU setup).
 type StrictCo struct {
 	timeslice int64
-	next      int // round-robin pointer over VM indices
+	next      int // round-robin pointer over VM positions in gangs.vms
+	gangs     gangs
 }
 
 var _ core.Scheduler = (*StrictCo)(nil)
@@ -31,21 +32,21 @@ func (s *StrictCo) Name() string { return "SCS" }
 
 // Schedule implements core.Scheduler.
 func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUView, acts *core.Actions) {
-	idle := core.IdlePCPUs(pcpus)
+	g := &s.gangs
+	idle := g.idlePCPUs(pcpus)
 	if len(idle) == 0 {
 		return
 	}
-	byVM := core.SiblingsOf(vcpus)
-	vms := core.VMs(vcpus)
-	if len(vms) == 0 {
+	g.sync(vcpus)
+	if len(g.vms) == 0 {
 		return
 	}
-	s.next %= len(vms)
+	s.next %= len(g.vms)
 
 	scheduledFirst := -1
-	for i := 0; i < len(vms) && len(idle) > 0; i++ {
-		pos := (s.next + i) % len(vms)
-		gang := byVM[vms[pos]]
+	for i := 0; i < len(g.vms) && len(idle) > 0; i++ {
+		pos := (s.next + i) % len(g.vms)
+		gang := g.members[pos]
 		if len(gang) > len(idle) || !allInactive(gang, vcpus) {
 			continue
 		}
@@ -58,7 +59,7 @@ func (s *StrictCo) Schedule(_ int64, vcpus []core.VCPUView, pcpus []core.PCPUVie
 		}
 	}
 	if scheduledFirst >= 0 {
-		s.next = (scheduledFirst + 1) % len(vms)
+		s.next = (scheduledFirst + 1) % len(g.vms)
 	}
 }
 

@@ -50,8 +50,11 @@ type Options struct {
 	// Parallelism is the number of concurrent replications; default
 	// GOMAXPROCS.
 	Parallelism int
-	// Seed derives every replication's seed deterministically; the same
-	// seed reproduces the experiment regardless of parallelism.
+	// Seed derives every replication's seed deterministically: replication
+	// i always receives the same seed. The stopping rule is checked once
+	// per batch of Parallelism replications, so the replication count, and
+	// with it the summaries, are reproducible for a fixed seed and
+	// Parallelism; another Parallelism may stop after a different count.
 	Seed uint64
 	// StopMetrics lists the metrics whose CIs gate stopping; empty means
 	// every observed metric.
@@ -136,9 +139,9 @@ func (s Summary) MetricNames() []string {
 }
 
 // Run executes replications of rep until the stopping rule is satisfied.
-// It is deterministic for a given Options.Seed: per-replication seeds are
-// pre-derived, so parallel and serial execution produce identical
-// aggregates. rep must be safe for concurrent invocation; replicators
+// It is deterministic for a given Options.Seed and Options.Parallelism:
+// per-replication seeds are pre-derived, and the stopping rule is checked
+// after every batch of Parallelism replications (see Options.Seed). rep must be safe for concurrent invocation; replicators
 // that carry per-worker state belong in RunPooled.
 func Run(ctx context.Context, rep Replicator, opts Options) (Summary, error) {
 	if rep == nil {
@@ -155,9 +158,9 @@ func Run(ctx context.Context, rep Replicator, opts Options) (Summary, error) {
 //
 // Determinism is unchanged from Run: replication seeds are pre-derived
 // from Options.Seed, replication i always receives seed i, and results
-// are folded into the accumulators in replication order — so pooled,
-// fresh, serial, and parallel execution all produce identical summaries
-// as long as each replication is a pure function of its seed.
+// are folded into the accumulators in replication order — so pooled and
+// fresh execution produce identical summaries at the same Parallelism, as
+// long as each replication is a pure function of its seed.
 func RunPooled(ctx context.Context, factory ReplicatorFactory, opts Options) (Summary, error) {
 	if factory == nil {
 		return Summary{}, fmt.Errorf("sim: nil replicator factory")

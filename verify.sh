@@ -40,8 +40,8 @@ echo "== perfbench module: go vet + go test (nested module, outside the root ./.
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== pooled-determinism gate (goldens + pooled/fresh equivalence, uncached)"
-go test -run 'Golden|PooledEquivalence' -count=1 ./internal/core ./internal/san ./internal/experiments ./internal/cluster
+echo "== determinism gate (goldens, pooled/fresh equivalence, scheduler oracle, alloc-free steps; uncached)"
+go test -run 'Golden|PooledEquivalence|Oracle|AllocFree' -count=1 ./internal/core ./internal/san ./internal/experiments ./internal/cluster ./internal/sched ./internal/fastsim
 
 echo "== observability gate (manifest write + schema/counter validation)"
 obsdir=$(mktemp -d)
