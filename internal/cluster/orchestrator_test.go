@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -403,19 +404,21 @@ func TestReplicateErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed, want := range map[uint64]string{
-		1: `cluster: host rcs-2: core: scheduler "RCS" preempted inactive VCPU 0`,
-		2: `cluster: host rcs-0: core: scheduler "RCS" preempted inactive VCPU 0`,
-	} {
-		o, err := New(topo)
-		if err != nil {
-			t.Fatal(err)
+	atProcs(t, func(t *testing.T) {
+		for seed, want := range map[uint64]string{
+			1: `cluster: host rcs-2: core: scheduler "RCS" preempted inactive VCPU 0`,
+			2: `cluster: host rcs-0: core: scheduler "RCS" preempted inactive VCPU 0`,
+		} {
+			o, err := New(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = o.Replicate(context.Background(), seed)
+			if err == nil || err.Error() != want {
+				t.Errorf("seed %d: error %v, want %q", seed, err, want)
+			}
 		}
-		_, err = o.Replicate(context.Background(), seed)
-		if err == nil || err.Error() != want {
-			t.Errorf("seed %d: error %v, want %q", seed, err, want)
-		}
-	}
+	})
 }
 
 // TestReplicateCancelled checks that a replication under an already
@@ -427,9 +430,11 @@ func TestReplicateCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := o.Replicate(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap context.Canceled", err)
-	}
+	atProcs(t, func(t *testing.T) {
+		if _, err := o.Replicate(ctx, 1); !errors.Is(err, context.Canceled) {
+			t.Fatalf("error %v does not wrap context.Canceled", err)
+		}
+	})
 }
 
 // TestAdvanceHostsReportsEarliestFailure checks a window's failure order
@@ -440,43 +445,45 @@ func TestReplicateCancelled(t *testing.T) {
 // co-scheduling mode, and parking it makes the next co-stop preempt its
 // parked VCPUs.
 func TestAdvanceHostsReportsEarliestFailure(t *testing.T) {
-	uniform := config.Distribution{Dist: "uniform", Low: 1, High: 10}
-	topo := &Topology{
-		Horizon: 200,
-		Hosts: []HostGroup{{
-			Name: "rcs", Count: 2, PCPUs: 1,
-			Scheduler: config.Scheduler{Name: "RCS", EnterSkew: 1},
-			Slots: []Slot{
-				{VM: config.VM{VCPUs: 2, Load: uniform, SyncEveryN: 3}, Admitted: true},
-				{VM: config.VM{VCPUs: 1, Load: uniform, SyncEveryN: 3}, Count: 2, Admitted: true},
-			},
-		}},
-	}
-	topo.applyDefaults()
-	o, err := New(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.arm(1); err != nil {
-		t.Fatal(err)
-	}
-	// Park each host's 2-VCPU VM after the given time.
-	for h, at := range []float64{80, 30} {
-		host := o.hosts[h]
-		for host.inst.PeekNextEventTime() < at {
-			if err := host.inst.ProcessNextEvent(); err != nil {
-				t.Fatalf("host %d before parking: %v", h, err)
-			}
+	atProcs(t, func(t *testing.T) {
+		uniform := config.Distribution{Dist: "uniform", Low: 1, High: 10}
+		topo := &Topology{
+			Horizon: 200,
+			Hosts: []HostGroup{{
+				Name: "rcs", Count: 2, PCPUs: 1,
+				Scheduler: config.Scheduler{Name: "RCS", EnterSkew: 1},
+				Slots: []Slot{
+					{VM: config.VM{VCPUs: 2, Load: uniform, SyncEveryN: 3}, Admitted: true},
+					{VM: config.VM{VCPUs: 1, Load: uniform, SyncEveryN: 3}, Count: 2, Admitted: true},
+				},
+			}},
 		}
-		if err := host.sys.SetVMParked(0, true); err != nil {
+		topo.applyDefaults()
+		o, err := New(topo)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	err = o.advanceHosts(context.Background(), topo.Horizon)
-	want := `cluster: host rcs-1: core: scheduler "RCS" preempted inactive VCPU`
-	if err == nil || !strings.HasPrefix(err.Error(), want) {
-		t.Fatalf("error %v, want prefix %q", err, want)
-	}
+		if err := o.arm(1); err != nil {
+			t.Fatal(err)
+		}
+		// Park each host's 2-VCPU VM after the given time.
+		for h, at := range []float64{80, 30} {
+			host := o.hosts[h]
+			for host.inst.PeekNextEventTime() < at {
+				if err := host.inst.ProcessNextEvent(); err != nil {
+					t.Fatalf("host %d before parking: %v", h, err)
+				}
+			}
+			if err := host.sys.SetVMParked(0, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err = o.advanceHosts(context.Background(), topo.Horizon)
+		want := `cluster: host rcs-1: core: scheduler "RCS" preempted inactive VCPU`
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("error %v, want prefix %q", err, want)
+		}
+	})
 }
 
 // pickPolicy is a placement policy that always picks one host, fitting
@@ -506,5 +513,99 @@ func TestPlaceRejectsPolicyMisfit(t *testing.T) {
 	}
 	if len(o.queue) != 0 {
 		t.Errorf("VM queued after a policy misfit: %d queued", len(o.queue))
+	}
+}
+
+// TestValidateRejectsNonFinite checks that every topology time and
+// threshold must be finite. JSON cannot carry NaN or infinities, but a
+// topology built in Go can, and a NaN arrival time used to pass
+// validation and then run every host past the horizon until the context
+// was cancelled.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Topology, float64)
+	}{
+		{"horizon", func(t *Topology, v float64) { t.Horizon = v }},
+		{"warmup", func(t *Topology, v float64) { t.Warmup = v }},
+		{"arrival 0 time", func(t *Topology, v float64) { t.Arrivals[0].At = v }},
+		{"migration checkEvery", func(t *Topology, v float64) { t.Migration.CheckEvery = v }},
+		{"migration transferDelay", func(t *Topology, v float64) { t.Migration.TransferDelay = v }},
+		{"migration lowUtil", func(t *Topology, v float64) { t.Migration.LowUtil = v }},
+		{"migration highUtil", func(t *Topology, v float64) { t.Migration.HighUtil = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			topo := benchTopology(2, 100)
+			if err := topo.Validate(); err != nil {
+				t.Fatalf("base topology invalid: %v", err)
+			}
+			f.set(topo, v)
+			want := fmt.Sprintf("cluster: %s must be finite, got %g", f.name, v)
+			if err := topo.Validate(); err == nil || err.Error() != want {
+				t.Errorf("%s = %g: Validate error %v, want %q", f.name, v, err, want)
+			}
+			if _, err := New(topo); err == nil {
+				t.Errorf("%s = %g: New accepted the topology", f.name, v)
+			}
+		}
+	}
+}
+
+// TestMigrationScanWideTies replays the original scan (see
+// migration_oracle_test.go) on one check of a 200-host fleet: 100
+// overloaded sources, then 100 targets whose utilizations alternate
+// between 1/2 and 1/4 by host ID. The candidate list is far longer than
+// the sort's insertion-sort cutoff, so only the ID tie-break keeps equal
+// utilizations in ID order.
+func TestMigrationScanWideTies(t *testing.T) {
+	load := config.Distribution{Dist: "uniform", Low: 1, High: 10}
+	vm := config.VM{VCPUs: 1, Load: load, SyncEveryN: 5}
+	topo := &Topology{
+		Horizon:   1000,
+		Hosts:     []HostGroup{{Name: "hot", Count: 100, PCPUs: 2, Slots: []Slot{{VM: vm, Count: 3, Admitted: true}}}},
+		Migration: &Migration{CheckEvery: 50, HighUtil: 0.85, LowUtil: 0.6, TransferDelay: 5},
+	}
+	for i := 0; i < 100; i++ {
+		topo.Hosts = append(topo.Hosts, HostGroup{
+			Name: fmt.Sprintf("cold%d", i), PCPUs: 2 + 2*(i%2),
+			Slots: []Slot{{VM: vm, Admitted: true}, {VM: vm, Count: 2}},
+		})
+	}
+	topo.applyDefaults()
+	o, err := New(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.arm(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.advanceHosts(context.Background(), 50); err != nil {
+		t.Fatal(err)
+	}
+	fleet := make([]oracleHost, len(o.hosts))
+	for id, h := range o.hosts {
+		fleet[id] = oracleHost{
+			util:  float64(h.sys.AssignedPCPUs()) / float64(h.sys.NumPCPUs()),
+			slots: append([]slotState(nil), h.slots...),
+		}
+	}
+	want := oraclePhase2(fleet, topo.Migration)
+	if err := o.migrationCheck(50); err != nil {
+		t.Fatal(err)
+	}
+	var got []oracleDrain
+	for id, h := range o.hosts {
+		for i, s := range h.slots {
+			if s.phase == slotDraining {
+				got = append(got, oracleDrain{id, i, s.tgtHost, s.tgtSlot})
+			}
+		}
+	}
+	if len(want) < 20 {
+		t.Fatalf("only %d drains; the fleet no longer exercises long tie runs", len(want))
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("drains %v\noriginal scan %v", got, want)
 	}
 }

@@ -5,10 +5,11 @@
 // system shard — its own core.System, san.Program, and san.Instance.
 // Between cluster-level events (VM arrivals routed by a pluggable
 // placement policy, threshold-triggered VM migration as drain /
-// transfer-delay / re-admit) the orchestrator advances every host, in ID
-// order, up to the next cluster event; host degradation runs inside each
-// host through the existing per-host fault surface. The result is the
-// one deterministic total order of all events.
+// transfer-delay / re-admit) the orchestrator advances every host up to
+// the next cluster event, spreading the hosts over up to GOMAXPROCS
+// goroutines; host degradation runs inside each host through the
+// existing per-host fault surface. The result is the one deterministic
+// total order of all events, whatever the number of goroutines.
 package cluster
 
 import (
@@ -16,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"vcpusim/internal/config"
@@ -189,12 +191,19 @@ func (t *Topology) applyDefaults() {
 
 // Validate checks the topology against the framework's constraints. It
 // covers everything the fuzz target must survive: each host group must
-// expand to a valid core.SystemConfig and scheduler, arrivals must fit
-// some provisioned slot inside the horizon, and migration thresholds
-// must be ordered and positive.
+// expand to a valid core.SystemConfig and scheduler, every time and
+// threshold must be finite, arrivals must fit some provisioned slot
+// inside the horizon, and migration thresholds must be ordered and
+// positive.
 func (t *Topology) Validate() error {
 	if t.Contract != san.ContractV1 && t.Contract != san.ContractV2 {
 		return fmt.Errorf("cluster: contract must be %d or %d, got %d", san.ContractV1, san.ContractV2, t.Contract)
+	}
+	if err := finite("horizon", t.Horizon); err != nil {
+		return err
+	}
+	if err := finite("warmup", t.Warmup); err != nil {
+		return err
 	}
 	if t.Horizon <= 0 {
 		return fmt.Errorf("cluster: non-positive horizon %g", t.Horizon)
@@ -233,6 +242,9 @@ func (t *Topology) Validate() error {
 		}
 	}
 	for i, a := range t.Arrivals {
+		if err := finite(fmt.Sprintf("arrival %d time", i), a.At); err != nil {
+			return err
+		}
 		if a.At < 0 || a.At >= t.Horizon {
 			return fmt.Errorf("cluster: arrival %d: time %g outside [0, horizon %g)", i, a.At, t.Horizon)
 		}
@@ -247,6 +259,19 @@ func (t *Topology) Validate() error {
 		}
 	}
 	if m := t.Migration; m != nil {
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"migration checkEvery", m.CheckEvery},
+			{"migration transferDelay", m.TransferDelay},
+			{"migration lowUtil", m.LowUtil},
+			{"migration highUtil", m.HighUtil},
+		} {
+			if err := finite(f.name, f.v); err != nil {
+				return err
+			}
+		}
 		if m.CheckEvery <= 0 {
 			return fmt.Errorf("cluster: migration checkEvery must be positive, got %g", m.CheckEvery)
 		}
@@ -256,6 +281,16 @@ func (t *Topology) Validate() error {
 		if m.TransferDelay < 0 {
 			return fmt.Errorf("cluster: negative migration transferDelay %g", m.TransferDelay)
 		}
+	}
+	return nil
+}
+
+// finite rejects a NaN or infinite time or threshold, naming the field:
+// the comparisons that bound each field are all false for NaN, and an
+// infinite time never comes due.
+func finite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("cluster: %s must be finite, got %g", field, v)
 	}
 	return nil
 }

@@ -40,8 +40,11 @@ echo "== perfbench module: go vet + go test (nested module, outside the root ./.
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
 
-echo "== determinism gate (goldens, pooled/fresh equivalence, scheduler oracle, alloc-free steps; uncached)"
+echo "== determinism gate (goldens, pooled/fresh equivalence, oracles, alloc-free steps, cluster at GOMAXPROCS 1/2/4; uncached)"
 go test -run 'Golden|PooledEquivalence|Oracle|AllocFree' -count=1 ./internal/core ./internal/san ./internal/experiments ./internal/cluster ./internal/sched ./internal/fastsim
+# The cluster orchestrator sizes its host pool from GOMAXPROCS: run the
+# whole package inline, on two workers and on four.
+go test -count=1 -cpu 1,2,4 ./internal/cluster
 
 echo "== observability gate (manifest write + schema/counter validation)"
 obsdir=$(mktemp -d)
