@@ -376,6 +376,9 @@ func (in *Instance) SetFireHooks(pre, post func(a *Activity)) {
 	in.preFire, in.postFire = pre, post
 }
 
+// HasFireHooks reports whether a pre or post fire hook is installed.
+func (in *Instance) HasFireHooks() bool { return in.preFire != nil || in.postFire != nil }
+
 // touchID marks a place dirty (token places use their id, extended places
 // extBase+id): every activity reading it becomes an enabling-
 // reconsideration candidate and every rate reward watching it is
