@@ -75,12 +75,18 @@ func main() {
 	}
 	fmt.Printf("numerical solver: %d states, %d iterations\n", numeric.States, numeric.Iterations)
 
-	// 2. Simulation: one long run with the initial transient discarded.
-	runner, err := san.NewRunner(buildQueue(), 42)
+	// 2. Simulation: compile the model once, then run one long
+	// replication with the initial transient discarded.
+	prog, err := san.Compile(buildQueue())
 	if err != nil {
 		log.Fatal(err)
 	}
-	simulated, err := runner.RunInterval(5000, 500000)
+	inst, err := prog.NewInstance()
+	if err != nil {
+		log.Fatal(err)
+	}
+	inst.Reset(42)
+	simulated, err := inst.RunInterval(5000, 500000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"vcpusim/internal/core"
 	"vcpusim/internal/obs"
 	"vcpusim/internal/san"
 )
@@ -72,6 +73,15 @@ func checkFleetInvariants(t *testing.T, o *Orchestrator, m map[string]float64) {
 	}
 	resident := 0
 	for _, h := range o.hosts {
+		modelParked := make([]bool, len(h.slots))
+		if err := o.onHost(h, func(sys *core.System) error {
+			for i := range modelParked {
+				modelParked[i] = sys.VMParked(i)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 		for i, s := range h.slots {
 			switch s.phase {
 			case slotAdmitted:
@@ -81,8 +91,8 @@ func checkFleetInvariants(t *testing.T, o *Orchestrator, m map[string]float64) {
 				targets[slotRef{s.tgtHost, s.tgtSlot}]++
 			}
 			parked := s.phase == slotParked || s.phase == slotReserved
-			if h.sys.VMParked(i) != parked {
-				t.Errorf("host %s slot %d: phase %d but model parked = %v", h.name, i, s.phase, h.sys.VMParked(i))
+			if modelParked[i] != parked {
+				t.Errorf("host %s slot %d: phase %d but model parked = %v", h.name, i, s.phase, modelParked[i])
 			}
 		}
 	}
@@ -111,6 +121,19 @@ func checkFleetInvariants(t *testing.T, o *Orchestrator, m map[string]float64) {
 	} else if mig := o.topo.Migration; mig != nil && d < m[MigrationsMetric]*mig.TransferDelay {
 		t.Errorf("downtime %g below %g migrations × transfer delay %g", d, m[MigrationsMetric], mig.TransferDelay)
 	}
+}
+
+// hostUtil reads host h's PCPU assignment fraction off its model.
+func hostUtil(t *testing.T, o *Orchestrator, h *hostShard) float64 {
+	t.Helper()
+	var util float64
+	if err := o.onHost(h, func(sys *core.System) error {
+		util = float64(sys.AssignedPCPUs()) / float64(sys.NumPCPUs())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return util
 }
 
 // writeSpans prints one span per line.

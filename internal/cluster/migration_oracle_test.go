@@ -200,7 +200,7 @@ func TestMigrationScanOracle(t *testing.T) {
 			var got []oracleDrain
 			for id, h := range o.hosts {
 				fleet[id] = oracleHost{
-					util:  float64(h.sys.AssignedPCPUs()) / float64(h.sys.NumPCPUs()),
+					util:  hostUtil(t, o, h),
 					slots: before[id],
 				}
 				for i := range h.slots {

@@ -25,6 +25,22 @@ func benchFig8Config(pcpus int) core.SystemConfig {
 	}
 }
 
+// compileReset compiles model and returns an instance reset with seed:
+// one fresh replication, ready to run.
+func compileReset(b *testing.B, model *san.Model, seed uint64, opts ...san.CompileOption) *san.Instance {
+	b.Helper()
+	prog, err := san.Compile(model, opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := prog.NewInstance()
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst.Reset(seed)
+	return inst
+}
+
 // BenchmarkRunnerFig8 measures the SAN executor on one 10k-tick Figure 8
 // replication (RRS, 2 PCPUs): model build + event loop, reporting kernel
 // events and activity firings per second alongside allocations.
@@ -39,10 +55,7 @@ func BenchmarkRunnerFig8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := san.NewRunner(sys.Model(), src.Uint64())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := compileReset(b, sys.Model(), src.Uint64())
 		res, err := r.Run(horizon)
 		if err != nil {
 			b.Fatal(err)
@@ -72,10 +85,7 @@ func BenchmarkRunnerFig8V2(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := san.NewRunner(sys.Model(), src.Uint64(), san.WithContract(san.ContractV2))
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := compileReset(b, sys.Model(), src.Uint64(), san.WithContract(san.ContractV2))
 		res, err := r.Run(horizon)
 		if err != nil {
 			b.Fatal(err)
@@ -116,10 +126,7 @@ func BenchmarkRunnerSpinlock(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		r, err := san.NewRunner(sys.Model(), src.Uint64())
-		if err != nil {
-			b.Fatal(err)
-		}
+		r := compileReset(b, sys.Model(), src.Uint64())
 		res, err := r.Run(horizon)
 		if err != nil {
 			b.Fatal(err)

@@ -77,7 +77,7 @@ type vmRef struct {
 	blocked  *san.Place
 	numReady *san.Place
 	pending  *san.ExtPlace[pendingWorkload]
-	gen      *workload.Generator
+	gen      *workload.Generator // the bound host's workload stream
 	vcpus    []*vcpuRef
 	// stalled, set when a fault plan is composed in, reports whether the
 	// global VCPU id is frozen by an injected stall; nil on healthy hosts.
@@ -134,14 +134,16 @@ func (vm *vmRef) spinning(vc *vcpuRef) bool {
 	return vm.lockHolderPreempted()
 }
 
-// System is a fully composed virtualization-system model, ready to simulate
-// for one replication. Systems are single-use: build a fresh one per
-// replication (construction is cheap), because the plugged-in Scheduler and
-// the workload generators carry state across ticks.
+// System is a fully composed virtualization-system model: the SAN model
+// with its gate closures and the wiring between them (VM, VCPU and PCPU
+// place handles, the fault injector, per-tick scratch). The state that
+// belongs to one host rather than to the model — scheduler, workload
+// streams, parked flags, fault runtime, inspection hooks, and the marking
+// on the model — is the bound host's: BuildSystem gives a System its own,
+// and a Shape's System holds whichever Worker is bound to it.
 type System struct {
 	cfg       SystemConfig
 	model     *san.Model
-	sched     Scheduler
 	vms       []*vmRef
 	vcpus     []*vcpuRef
 	pcpus     *san.ExtPlace[[]int]
@@ -151,9 +153,27 @@ type System struct {
 
 	// flt / inj are the degraded-mode runtime and the SAN-side fault
 	// injector, both nil unless cfg.Faults is set; hot paths gate on a
-	// single nil test.
+	// single nil test. Gate closures hold flt, so a bound host's fault
+	// state is copied into it (Worker.Bind), not swapped for it.
 	flt *faultRuntime
 	inj *faults.Injector
+
+	// Per-tick scratch reused across schedulerStep calls so the hot path
+	// does not allocate: view slices handed to the Scheduler, the pending
+	// schedule-out mask, and the Actions accumulator. Every tick rewrites
+	// it, so hosts taking turns on the system share it.
+	viewBuf    []VCPUView
+	pviewBuf   []PCPUView
+	pendingOut []bool
+	acts       Actions
+
+	hostVars
+}
+
+// hostVars are the System fields that belong to the bound host, moved as
+// one value by Worker.Bind and Worker.Unbind.
+type hostVars struct {
+	sched Scheduler
 
 	// hist / rec are the opt-in inspection hooks — distribution rewards
 	// and the scheduler's flight recorder — both nil unless enabled;
@@ -166,14 +186,6 @@ type System struct {
 	// without adding an undeclared place read. schedulerStep writes it
 	// in the same breath as the Timestamp marking.
 	tickNow int64
-
-	// Per-tick scratch reused across schedulerStep calls so the hot path
-	// does not allocate: view slices handed to the Scheduler, the pending
-	// schedule-out mask, and the Actions accumulator.
-	viewBuf    []VCPUView
-	pviewBuf   []PCPUView
-	pendingOut []bool
-	acts       Actions
 
 	// parked, when non-nil, marks VMs not admitted on this host (cluster
 	// orchestration): their VCPUs appear Parked in scheduler views. nil
@@ -192,8 +204,8 @@ func (s *System) Config() SystemConfig { return s.cfg }
 // Scheduler returns the plugged-in scheduling algorithm.
 func (s *System) Scheduler() Scheduler { return s.sched }
 
-// Reseed re-derives the system's per-replication state exactly as a fresh
-// BuildSystem with the same source would: each VM's workload-generator
+// Reseed re-derives the bound host's per-replication state exactly as a
+// fresh BuildSystem with the same source would: each VM's workload-generator
 // stream is re-split off src in VM definition order, and sched replaces
 // the plugged-in scheduler (algorithm state must not survive into the next
 // replication, so callers pass a freshly constructed one). The caller
@@ -225,21 +237,38 @@ func (s *System) Reseed(sched Scheduler, src *rng.Source) error {
 // Figure 7 structure): one VCPU-scheduler sub-model plus one VM composed
 // model per VMConfig, each consisting of a workload generator, a job
 // scheduler, and VCPU sub-models, all wired through the join places of the
-// paper's Tables 1 and 2. src seeds the workload generators; the plugged-in
-// sched is invoked every clock tick.
+// paper's Tables 1 and 2. The system carries its own host state: src seeds
+// the workload generators, and the plugged-in sched is invoked every clock
+// tick.
 func BuildSystem(cfg SystemConfig, sched Scheduler, src *rng.Source) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if sched == nil {
 		return nil, fmt.Errorf("core: nil scheduler")
 	}
 	if src == nil {
 		return nil, fmt.Errorf("core: nil random source")
 	}
+	sys, err := buildShape(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sys.sched = sched
+	for i, vm := range sys.vms {
+		if vm.gen, err = workload.NewGenerator(cfg.VMs[i].Workload, src.Split()); err != nil {
+			return nil, fmt.Errorf("core: VM %s: %w", cfg.VMName(i), err)
+		}
+	}
+	return sys, nil
+}
+
+// buildShape composes the system model for cfg without any host state:
+// no scheduler and no workload generators until a host is bound.
+func buildShape(cfg SystemConfig) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 
 	model := san.NewModel("Virtual_System")
-	sys := &System{cfg: cfg, model: model, sched: sched}
+	sys := &System{cfg: cfg, model: model}
 
 	// --- VCPU Scheduler sub-model (paper Figure 6) ---
 	hv := model.Sub("VCPU_Scheduler")
@@ -261,10 +290,7 @@ func BuildSystem(cfg SystemConfig, sched Scheduler, src *rng.Source) (*System, e
 
 	// --- VM composed models (paper Figure 2) ---
 	for i, vmCfg := range cfg.VMs {
-		vm, err := buildVM(sys, hv, i, vmCfg, src)
-		if err != nil {
-			return nil, err
-		}
+		vm := buildVM(sys, hv, i, vmCfg)
 		sys.vms = append(sys.vms, vm)
 		sys.vcpus = append(sys.vcpus, vm.vcpus...)
 	}
@@ -325,7 +351,7 @@ func BuildSystem(cfg SystemConfig, sched Scheduler, src *rng.Source) (*System, e
 // buildVM composes one VM: workload generator, job scheduler, and VCPU
 // sub-models (paper Figures 2-5), plus its joins into the VCPU scheduler
 // (paper Table 2).
-func buildVM(sys *System, hv *san.Sub, index int, cfg VMConfig, src *rng.Source) (*vmRef, error) {
+func buildVM(sys *System, hv *san.Sub, index int, cfg VMConfig) *vmRef {
 	model := sys.model
 	name := sys.cfg.VMName(index)
 
@@ -344,12 +370,6 @@ func buildVM(sys *System, hv *san.Sub, index int, cfg VMConfig, src *rng.Source)
 	wg.Share(vm.blocked)
 	wg.Share(vm.numReady)
 	san.ShareExt(wg, vm.pending)
-
-	gen, err := workload.NewGenerator(cfg.Workload, src.Split())
-	if err != nil {
-		return nil, fmt.Errorf("core: VM %s: %w", name, err)
-	}
-	vm.gen = gen
 
 	// VCPU sub-models.
 	for k := 0; k < cfg.VCPUs; k++ {
@@ -384,7 +404,7 @@ func buildVM(sys *System, hv *san.Sub, index int, cfg VMConfig, src *rng.Source)
 	}
 
 	buildJobFlow(sys, wg, js, vm)
-	return vm, nil
+	return vm
 }
 
 // buildVCPUActivities wires one VCPU sub-model (paper Figure 4): per-tick

@@ -45,7 +45,7 @@ func BenchmarkRunnerTandem(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				m := buildTandem(n)
-				r, err := NewRunner(m, uint64(i)+1)
+				r, err := compileReset(m, uint64(i)+1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,7 +76,7 @@ func BenchmarkRunnerTandemV2(b *testing.B) {
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				m := buildTandem(n)
-				r, err := NewRunner(m, uint64(i)+1, WithContract(ContractV2))
+				r, err := compileReset(m, uint64(i)+1, WithContract(ContractV2))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +102,7 @@ func BenchmarkRunnerMM1(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
 		m, _ := buildMM1(0.7, 1.0)
-		r, err := NewRunner(m, uint64(i)+1)
+		r, err := compileReset(m, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func TestSolveAgreesWithSimulation(t *testing.T) {
 	}
 
 	simModel, _ := build()
-	r, err := NewRunner(simModel, 5)
+	r, err := compileReset(simModel, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,7 +327,7 @@ func TestLivelockNamesCyclingActivities(t *testing.T) {
 	pong := s.InstantActivity("pong")
 	pong.InputArc(q, 1).OutputArc(p, 1)
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

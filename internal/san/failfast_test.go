@@ -25,7 +25,7 @@ func TestRunnerFailsFastOnNegativeMarking(t *testing.T) {
 	broken.Link(LinkInput, p.Name())
 	broken.Link(LinkOutput, p.Name())
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunnerFailsFastOnReportError(t *testing.T) {
 	act.Link(LinkInput, p.Name())
 	act.Link(LinkOutput, p.Name())
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

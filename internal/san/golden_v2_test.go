@@ -48,11 +48,11 @@ func goldenV2Path() string {
 // the results as name -> exact string.
 func runGoldenV2Case(t *testing.T, build func() *Model, horizon float64, seed uint64, contract int) map[string]string {
 	t.Helper()
-	r, err := NewRunner(build(), seed, WithContract(contract))
+	r, err := compileReset(build(), seed, WithContract(contract))
 	if err != nil {
 		t.Fatalf("golden v2 runner: %v", err)
 	}
-	return renderGoldenRun(t, r.Instance, horizon)
+	return renderGoldenRun(t, r, horizon)
 }
 
 // renderGoldenRun runs one armed instance to the horizon and renders the
@@ -192,7 +192,7 @@ func TestGoldenContractV2PooledEquivalence(t *testing.T) {
 	const warmup, horizon = 100, 1500
 	seeds := []uint64{1, 7, 42, 7, 1} // repeats: a reset must not remember
 	for _, seed := range seeds {
-		fresh, err := NewRunner(buildTandem(6), seed, WithContract(ContractV2))
+		fresh, err := compileReset(buildTandem(6), seed, WithContract(ContractV2))
 		if err != nil {
 			t.Fatal(err)
 		}

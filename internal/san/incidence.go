@@ -2,11 +2,11 @@ package san
 
 import "math/bits"
 
-// Incidence index for the runner's dirty-place tracking. Built once per
-// Runner from the model's documented structure (the same Link arcs the
-// san.Structure snapshot and package sanlint reason over), it answers: when
-// place p changes, which activities' enabling conditions and which rate
-// rewards' values could have changed?
+// Incidence index for the executor's dirty-place tracking. Built once per
+// Program by Compile from the model's documented structure (the same Link
+// arcs the san.Structure snapshot and package sanlint reason over), it
+// answers: when place p changes, which activities' enabling conditions and
+// which rate rewards' values could have changed?
 //
 // Soundness contract: an activity's documented LinkInput arcs must cover
 // every place its enabling predicates read, and a rate reward's Refs must

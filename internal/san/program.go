@@ -122,11 +122,14 @@ type touchOp struct {
 // A Program is compiled once per model and shared by every Instance derived
 // from it; nothing on it changes during a run.
 //
-// Because the model's marking lives on the Model itself (gate closures
-// capture places directly), instances of the same Program share that
-// marking: at most one Instance of a Program may be running at any time.
-// For parallel replications, build one system + Program per worker and
-// reuse each worker's Instance serially via Reset.
+// The marking lives on the Model itself, because gate closures capture
+// places directly, and belongs to the Instance bound to the model (Reset
+// and Bind bind an instance; Store saves the marking into it). Any number
+// of instances may take turns on one Program, each keeping its own
+// kernel, RNG, rewards and saved marking, but only the bound one may run.
+// Goroutines running in parallel therefore each need their own Program: a
+// build and compile of the model per goroutine, shared by every instance
+// that goroutine runs, as the cluster's host pool does per host group.
 type Program struct {
 	model *Model
 

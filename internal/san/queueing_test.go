@@ -48,7 +48,7 @@ func TestMM1AgainstTheory(t *testing.T) {
 		const reps = 4
 		for seed := uint64(1); seed <= reps; seed++ {
 			model, _ := buildMM1(tc.lambda, tc.mu)
-			r, err := NewRunner(model, seed)
+			r, err := compileReset(model, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestMM1LittleLaw(t *testing.T) {
 		}
 	}
 	model.AddImpulseReward("arrivals", arrivals, nil)
-	r, err := NewRunner(model, 11)
+	r, err := compileReset(model, 11)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func buildCounter(period float64) (*Model, *Place) {
 
 func TestTimedActivityFiresPeriodically(t *testing.T) {
 	m, p := buildCounter(2)
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRateReward(t *testing.T) {
 	a.AddCase(nil, func() { p.SetTokens(1) })
 	m.AddRateReward("frac", func() float64 { return float64(p.Tokens()) })
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestImpulseReward(t *testing.T) {
 	a := m.Activities()[0]
 	m.AddImpulseReward("count", a, nil)
 	m.AddImpulseReward("weighted", a, func() float64 { return 2.5 })
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestInstantaneousStabilization(t *testing.T) {
 	move.InputArc(src, 1)
 	move.OutputArc(dst, 1)
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestInstantaneousPriorityOrder(t *testing.T) {
 	hiAct.InputArc(token, 1)
 	hiAct.OutputArc(hi, 1)
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCaseProbabilities(t *testing.T) {
 	act.AddCase(func() float64 { return 3 }, func() { a.Add(1) })
 	act.AddCase(func() float64 { return 1 }, func() { b.Add(1) })
 
-	r, err := NewRunner(m, 99)
+	r, err := compileReset(m, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestActivityAbortOnDisable(t *testing.T) {
 	fast.Predicate(func() bool { return gate.Tokens() > 0 })
 	fast.AddCase(nil, func() { gate.SetTokens(0) })
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestActivityReactivationResamples(t *testing.T) {
 		}
 	})
 
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestLivelockDetected(t *testing.T) {
 	s := m.Sub("s")
 	a := s.InstantActivity("spin")
 	a.AddCase(nil, func() {}) // always enabled, never changes marking
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestInvalidDelayDetected(t *testing.T) {
 	s := m.Sub("s")
 	a := s.TimedActivityFunc("neg", func(*rng.Source) float64 { return -1 })
 	a.AddCase(nil, func() {})
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestInvalidDelayDetected(t *testing.T) {
 
 func TestRunnerResetsMarking(t *testing.T) {
 	m, p := buildCounter(1)
-	r1, err := NewRunner(m, 1)
+	r1, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestRunnerResetsMarking(t *testing.T) {
 	if p.Tokens() != 5 {
 		t.Fatalf("count after first run = %d", p.Tokens())
 	}
-	r2, err := NewRunner(m, 2)
+	r2, err := compileReset(m, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestRunnerResetsMarking(t *testing.T) {
 
 func TestNonPositiveHorizonRejected(t *testing.T) {
 	m, _ := buildCounter(1)
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestExponentialRace(t *testing.T) {
 	mk("fast", 3, winsA)
 	mk("slow", 1, winsB)
 
-	r, err := NewRunner(m, 7)
+	r, err := compileReset(m, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestValidateGivesImplicitCase(t *testing.T) {
 	p := s.Place("p", 0)
 	a := s.TimedActivity("t", rng.Deterministic{Value: 1})
 	a.InputFunc(func() { p.Add(1) }) // input function only, no case
-	r, err := NewRunner(m, 1)
+	r, err := compileReset(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestReplicateComposition(t *testing.T) {
 		t.Fatalf("missing replicated places: %v", want)
 	}
 
-	r, err := NewRunner(m, 3)
+	r, err := compileReset(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
