@@ -27,7 +27,9 @@ type HostLoad struct {
 // chosen host's ID, or -1 to queue the VM until capacity frees up.
 // hosts is ordered by ID and identical for every policy, so a policy is
 // a pure function of the snapshot (any internal state — a round-robin
-// cursor — must depend only on its own past decisions).
+// cursor — must depend only on its own past decisions in the current
+// replication; a policy with state implements reset, which the
+// orchestrator calls at the start of every replication).
 type PlacementPolicy interface {
 	Name() string
 	Place(vcpus int, hosts []HostLoad) int
@@ -52,6 +54,9 @@ func policyFor(name string) (PlacementPolicy, error) {
 type roundRobin struct{ next int }
 
 func (r *roundRobin) Name() string { return "round-robin" }
+
+// reset moves the cursor back to host 0 for a new replication.
+func (r *roundRobin) reset() { r.next = 0 }
 
 func (r *roundRobin) Place(vcpus int, hosts []HostLoad) int {
 	n := len(hosts)
