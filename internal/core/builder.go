@@ -776,8 +776,9 @@ func (sys *System) applyActions(now int64, acts *Actions) {
 // impulse counters.
 func registerRewards(sys *System) {
 	m := sys.model
-	// Documented references let sanlint cross-check every reward against
-	// the model structure (the reward functions themselves are closures).
+	// Documented references let sanalyze.Lint cross-check every reward
+	// against the model structure (the reward functions themselves are
+	// closures).
 	slotNames := make([]string, len(sys.vcpus))
 	for i, vc := range sys.vcpus {
 		slotNames[i] = vc.slot.Name()

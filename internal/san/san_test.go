@@ -538,3 +538,35 @@ func TestReplicateErrors(t *testing.T) {
 		t.Fatal("nil build accepted")
 	}
 }
+
+// TestStructureSnapshot sanity-checks the Structure export static
+// analysis consumes: link token counts, joins, reward refs.
+func TestStructureSnapshot(t *testing.T) {
+	m := NewModel("snap")
+	s1 := m.Sub("s1")
+	s2 := m.Sub("s2")
+	p := s1.Place("p", 2)
+	s2.Share(p)
+	act := s1.TimedActivity("act", rng.Deterministic{Value: 1})
+	act.InputArc(p, 2)
+	act.OutputArc(p, 1)
+	m.AddRateReward("tokens", func() float64 { return float64(p.Tokens()) }, p.Name())
+
+	st := m.Structure()
+	if len(st.Places) != 1 || st.Places[0].Initial != 2 {
+		t.Fatalf("places = %+v", st.Places)
+	}
+	if got := st.Places[0].Joins; len(got) != 2 || got[0] != "s1" || got[1] != "s2" {
+		t.Errorf("joins = %v", got)
+	}
+	if len(st.Activities) != 1 {
+		t.Fatalf("activities = %+v", st.Activities)
+	}
+	links := st.Activities[0].Links
+	if len(links) != 2 || links[0].Tokens != 2 || links[1].Tokens != 1 {
+		t.Errorf("links = %+v, want token counts 2 and 1", links)
+	}
+	if len(st.Rewards) != 1 || len(st.Rewards[0].Refs) != 1 || st.Rewards[0].Refs[0] != "s1/p" {
+		t.Errorf("rewards = %+v", st.Rewards)
+	}
+}

@@ -1,10 +1,14 @@
-// Package fixtures holds small pure-arc SAN models with deliberately
-// seeded structural defects, one positive (defective) and one negative
-// (clean) fixture per sanalyze check: an unbounded place, a reachable
-// deadlock, a dead activity, and a broken conservation law. They
-// unit-test the engine, pin its reports through the golden file in
-// internal/vet/testdata, and let `vcpusim vet -fixtures` demonstrate
-// every structural check firing with its counterexample.
+// Package fixtures holds small SAN models with deliberately seeded
+// defects, one positive (defective) and one negative (clean) fixture per
+// check, in two registries. All covers the Analyze checks on pure-arc
+// nets: an unbounded place, a reachable deadlock, a dead activity, and a
+// broken conservation law. Lint covers the nine sanalyze.Lint shape
+// checks. The fixtures unit-test the verifier, pin its output through
+// golden files in internal/sanalyze/testdata and internal/vet/testdata,
+// and let `vcpusim vet -fixtures` demonstrate every check firing.
+//
+// The models are analyzed statically and never simulated — several of the
+// defective ones would livelock or fail immediately if run.
 package fixtures
 
 import (
@@ -18,9 +22,9 @@ type Fixture struct {
 	// Name identifies the fixture; "-bad" fixtures seed a defect, "-ok"
 	// fixtures are the matching clean variant.
 	Name string
-	// Expect is the exact set of check identifiers Analyze must report
-	// (order-insensitive, duplicates collapsed); empty means the model
-	// must verify clean.
+	// Expect is the exact set of check identifiers Analyze (for All) or
+	// Lint (for Lint) must report, order-insensitive with duplicates
+	// collapsed; empty means the model must verify clean.
 	Expect []string
 	// Disabled is passed to the analysis as sanalyze.Options.Disabled,
 	// mirroring a fault plan arming dormant activities.

@@ -26,15 +26,18 @@ func invariants(n *net, r *Report) (pinvs, tinvs []Invariant) {
 		row.y[yi] = 1
 		rows = append(rows, row)
 	}
-	sols, complete := farkas(rows, len(n.acts))
-	if !complete {
+	// truncated reports a basis farkas had to cut at maxInvariantRows.
+	truncated := func(basis, consequence string) {
 		r.Findings = append(r.Findings, Finding{
 			Check:     CheckBudget,
 			Severity:  Warning,
 			Component: "model " + n.name,
-			Message: fmt.Sprintf("P-invariant basis truncated at %d rows; boundedness certificates may be incomplete",
-				maxInvariantRows),
+			Message:   fmt.Sprintf("%s basis truncated at %d rows; %s", basis, maxInvariantRows, consequence),
 		})
+	}
+	sols, complete := farkas(rows, len(n.acts))
+	if !complete {
+		truncated("P-invariant", "boundedness certificates may be incomplete")
 	}
 	for _, y := range sols {
 		iv := Invariant{Weights: map[string]int64{}}
@@ -66,7 +69,10 @@ func invariants(n *net, r *Report) (pinvs, tinvs []Invariant) {
 			row.y[ai] = 1
 			rows = append(rows, row)
 		}
-		sols, _ = farkas(rows, len(n.places))
+		sols, complete = farkas(rows, len(n.places))
+		if !complete {
+			truncated("T-invariant", "the reported T-invariants may be incomplete")
+		}
 		for _, x := range sols {
 			iv := Invariant{Weights: map[string]int64{}}
 			for ai, w := range x {

@@ -121,7 +121,7 @@ func buildNet(st san.Structure, disabled []string) *net {
 		for _, l := range a.Links {
 			pi, ok := n.placeIdx[l.Place]
 			if !ok {
-				// Extended place (or a dangling name, which sanlint
+				// Extended place (or a dangling name, which Lint
 				// reports): invisible to token math.
 				an.vague = true
 				continue

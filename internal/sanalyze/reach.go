@@ -48,6 +48,9 @@ type explorer struct {
 	instants []int // indices into n.acts, (priority asc, definition) order
 
 	visited map[string]bool
+	// unbounded marks places already reported unbounded: the first
+	// pumping path found (in DFS order) stands for the rest.
+	unbounded []bool
 	// path is the DFS ancestor chain: markings with the firing sequence
 	// that produced each, used for Karp–Miller domination and traces.
 	path []pathStep
@@ -86,7 +89,11 @@ func explore(n *net, opt Options) *reachResult {
 		return res
 	}
 
-	e := &explorer{n: n, opt: opt, visited: map[string]bool{}, res: res}
+	e := &explorer{
+		n: n, opt: opt, res: res,
+		visited:   map[string]bool{},
+		unbounded: make([]bool, len(n.places)),
+	}
 	for i := range n.acts {
 		if n.acts[i].disabled {
 			continue
@@ -177,7 +184,8 @@ func (e *explorer) dfs() {
 // dominates checks the new marking against every DFS ancestor; strict
 // domination (≥ everywhere, > somewhere) proves unbounded growth for the
 // strictly larger places (the Karp–Miller coverability argument: the
-// connecting firing sequence can be repeated forever).
+// connecting firing sequence can be repeated forever). Each place is
+// reported once, on the first pumping path found.
 func (e *explorer) dominates(m2 []int, seq []string) bool {
 	for _, anc := range e.path {
 		ge, gt := true, -1
@@ -192,9 +200,13 @@ func (e *explorer) dominates(m2 []int, seq []string) bool {
 		}
 		if ge && gt >= 0 {
 			e.res.cut = true
-			trace := append(e.traceTo(len(e.path)), seq...)
+			var trace []string
 			for p := range m2 {
-				if m2[p] > anc.m[p] {
+				if m2[p] > anc.m[p] && !e.unbounded[p] {
+					e.unbounded[p] = true
+					if trace == nil {
+						trace = append(e.traceTo(len(e.path)), seq...)
+					}
 					e.res.findings = append(e.res.findings, Finding{
 						Check:     CheckUnbounded,
 						Severity:  Error,

@@ -3,6 +3,7 @@ package sanalyze
 import (
 	"fmt"
 	"io"
+	"strings"
 )
 
 // Write renders the report for humans. The layout is deliberately
@@ -10,7 +11,7 @@ import (
 func (r *Report) Write(w io.Writer) {
 	fmt.Fprintf(w, "model %s: %d places, %d activities\n", r.Model, r.Places, r.Activities)
 	if len(r.Disabled) > 0 {
-		fmt.Fprintf(w, "  disabled: %s\n", joinComma(r.Disabled))
+		fmt.Fprintf(w, "  disabled: %s\n", strings.Join(r.Disabled, ", "))
 	}
 
 	certified := 0
@@ -83,15 +84,4 @@ func (r *Report) Write(w io.Writer) {
 	for _, f := range r.Findings {
 		fmt.Fprintf(w, "    %s\n", f)
 	}
-}
-
-func joinComma(items []string) string {
-	out := ""
-	for i, s := range items {
-		if i > 0 {
-			out += ", "
-		}
-		out += s
-	}
-	return out
 }

@@ -1,7 +1,14 @@
-// Package sanalyze is the structural-analysis engine for SAN models. It
-// works on the plain-data san.Structure snapshot — the same documented
-// surface package sanlint checks for shape defects — but goes further and
-// proves properties of the net:
+// Package sanalyze is the static verifier for SAN models. It works on
+// the plain-data san.Structure snapshot a model exports and has two entry
+// points.
+//
+// Lint checks the documented structure for shape defects: case weights
+// that do not sum to 1, links and reward references to unknown names,
+// places not joined into the submodel that uses them, write-only and
+// never-written places, activities no documented arc can enable, and
+// instantaneous token cycles.
+//
+// Analyze goes further and proves properties of the net:
 //
 //   - P- and T-invariants are computed from the documented incidence
 //     matrix with the Farkas variant of integer Gaussian elimination;
@@ -34,6 +41,7 @@ package sanalyze
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"vcpusim/internal/san"
 )
@@ -76,6 +84,7 @@ const (
 	Error
 )
 
+// String names the severity.
 func (s Severity) String() string {
 	switch s {
 	case Info:
@@ -94,6 +103,9 @@ const (
 	CheckBoundUnproven   = "bound-unproven"
 	CheckDeadlock        = "deadlock"
 	CheckDeadlockUnknown = "deadlock-unproven"
+	// CheckDeadActivity: an activity can never be enabled. Lint warns
+	// when no documented arc can mark its inputs; Analyze reports an
+	// error when it fires in no reachable marking of a complete search.
 	CheckDeadActivity    = "dead-activity"
 	CheckConservation    = "conservation"
 	CheckLivelock        = "instant-livelock"
@@ -126,22 +138,12 @@ func (f Finding) String() string {
 func renderTrace(trace []string) string {
 	const keep = 24
 	if len(trace) <= keep {
-		return joinArrows(trace)
+		return strings.Join(trace, " → ")
 	}
 	head := trace[:keep/2]
 	tail := trace[len(trace)-keep/2:]
-	return fmt.Sprintf("%s → … %d more … → %s", joinArrows(head), len(trace)-keep, joinArrows(tail))
-}
-
-func joinArrows(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += " → "
-		}
-		out += n
-	}
-	return out
+	return fmt.Sprintf("%s → … %d more … → %s",
+		strings.Join(head, " → "), len(trace)-keep, strings.Join(tail, " → "))
 }
 
 // PlaceBound is the boundedness verdict for one token place.
@@ -170,18 +172,12 @@ func (iv Invariant) String() string {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	out := ""
 	for i, n := range names {
-		if i > 0 {
-			out += " + "
-		}
 		if w := iv.Weights[n]; w != 1 {
-			out += fmt.Sprintf("%d·%s", w, n)
-		} else {
-			out += n
+			names[i] = fmt.Sprintf("%d·%s", w, n)
 		}
 	}
-	return out
+	return strings.Join(names, " + ")
 }
 
 // ReachSummary reports what the explicit-state exploration did.
@@ -236,17 +232,6 @@ func (r *Report) AllBounded() bool {
 
 // DeadlockFree reports whether deadlock freedom was proved.
 func (r *Report) DeadlockFree() bool { return r.Deadlock.Status == "deadlock-free" }
-
-// ErrorCount counts findings of Error severity.
-func (r *Report) ErrorCount() int {
-	n := 0
-	for _, f := range r.Findings {
-		if f.Severity == Error {
-			n++
-		}
-	}
-	return n
-}
 
 // Analyze runs every structural pass over a model snapshot.
 func Analyze(st san.Structure, opt Options) *Report {

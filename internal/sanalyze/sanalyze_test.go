@@ -1,6 +1,7 @@
 package sanalyze_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -335,6 +336,58 @@ func TestReportStable(t *testing.T) {
 	a, b := render(), render()
 	if a != b {
 		t.Errorf("unstable report:\n%s\n---\n%s", a, b)
+	}
+}
+
+// fanNet is a pure net of one place s/p with n output-only producers
+// and n input-only consumers. Every producer/consumer pair is a minimal
+// T-invariant, n² in all, and every producer pumps p.
+func fanNet(n int) *san.Model {
+	m := san.NewModel("fan")
+	s := m.Sub("s")
+	p := s.Place("p", 0)
+	for i := 0; i < n; i++ {
+		s.TimedActivity(fmt.Sprintf("produce%d", i), rng.Exponential{Rate: 1}).OutputArc(p, 1)
+	}
+	for i := 0; i < n; i++ {
+		s.TimedActivity(fmt.Sprintf("consume%d", i), rng.Exponential{Rate: 1}).InputArc(p, 1)
+	}
+	return m
+}
+
+// TestTInvariantBudget: a T-invariant basis cut at the row budget must
+// be reported, not passed off as complete.
+func TestTInvariantBudget(t *testing.T) {
+	r := sanalyze.AnalyzeModel(fanNet(30), sanalyze.Options{})
+	if len(r.TInvariants) >= 900 {
+		t.Fatalf("%d T-invariants: the 900-invariant basis should exceed the row budget", len(r.TInvariants))
+	}
+	found := false
+	for _, f := range r.Findings {
+		if f.Check == sanalyze.CheckBudget && strings.Contains(f.Message, "T-invariant") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("truncated T-invariant basis (%d of 900) not reported; checks: %v", len(r.TInvariants), checkSet(r.Findings))
+	}
+}
+
+// TestUnboundedOncePerPlace: a place pumped along many paths is
+// reported unbounded once, with the first pumping path found.
+func TestUnboundedOncePerPlace(t *testing.T) {
+	r := sanalyze.AnalyzeModel(fanNet(30), sanalyze.Options{})
+	var unbounded []sanalyze.Finding
+	for _, f := range r.Findings {
+		if f.Check == sanalyze.CheckUnbounded {
+			unbounded = append(unbounded, f)
+		}
+	}
+	if len(unbounded) != 1 || unbounded[0].Component != "place s/p" {
+		t.Fatalf("%d unbounded-place findings, want one for place s/p", len(unbounded))
+	}
+	if got := strings.Join(unbounded[0].Trace, " "); got != "s/produce0" {
+		t.Errorf("trace = %q, want the first pumping path s/produce0", got)
 	}
 }
 

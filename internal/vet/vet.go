@@ -2,12 +2,12 @@
 // cmd/vet tool. It bundles the static verifiers that gate a simulation
 // study before any replication runs:
 //
-//   - model verification (internal/sanlint): the SAN model built from an
+//   - model verification (sanalyze.Lint): the SAN model built from an
 //     experiment configuration is checked for structural defects —
 //     mis-normalized case probabilities, unreachable activities,
 //     write-only places, instantaneous livelocks, undeclared join
 //     sharing, dangling reward references.
-//   - structural verification (internal/sanalyze, -structural): the
+//   - structural verification (sanalyze.Analyze, -structural): the
 //     model is *proved* bounded and deadlock-free — P/T-invariants from
 //     the incidence matrix, per-place boundedness certificates, bounded
 //     explicit-state reachability with counterexample traces, declared
@@ -37,9 +37,7 @@ import (
 	"vcpusim/internal/rng"
 	"vcpusim/internal/san"
 	"vcpusim/internal/sanalyze"
-	sanalyzefixtures "vcpusim/internal/sanalyze/fixtures"
-	"vcpusim/internal/sanlint"
-	"vcpusim/internal/sanlint/fixtures"
+	"vcpusim/internal/sanalyze/fixtures"
 	"vcpusim/internal/sched"
 	"vcpusim/internal/workload"
 )
@@ -52,9 +50,10 @@ const (
 )
 
 // jsonFinding is the stable machine-readable finding schema emitted by
-// -json, one object per line. Tool distinguishes the producing verifier
-// (sanlint, sanalyze, golint); Model/Component locate model findings,
-// File/Line/Col locate source findings.
+// -json, one object per line. Tool distinguishes the producing verifier:
+// "sanlint" for sanalyze.Lint, "sanalyze" for sanalyze.Analyze and the
+// conformance replay, "golint" for the source lint. Model/Component
+// locate model findings, File/Line/Col locate source findings.
 type jsonFinding struct {
 	Tool      string   `json:"tool"`
 	Model     string   `json:"model,omitempty"`
@@ -152,27 +151,20 @@ func Run(args []string, out io.Writer) error {
 }
 
 // lintModel builds the system model described by an experiment
-// configuration and reports its sanlint diagnostics.
+// configuration and reports its lint findings.
 func lintModel(p *printer, configPath string) (int, error) {
 	sys, err := buildFromConfig(configPath)
 	if err != nil {
 		return 0, err
 	}
-	diags := sanlint.AnalyzeModel(sys.Model())
-	for _, d := range diags {
-		p.finding(jsonFinding{
-			Tool:      "sanlint",
-			Model:     sys.Model().Name(),
-			Check:     d.Check,
-			Severity:  d.Severity.String(),
-			Component: d.Component,
-			Message:   d.Message,
-		})
+	findings := sanalyze.Lint(sys.Model().Structure())
+	for _, f := range findings {
+		p.finding(modelFinding("sanlint", sys.Model().Name(), f))
 	}
-	if len(diags) == 0 {
+	if len(findings) == 0 {
 		p.textf("model %s: ok (%s)\n", sys.Config(), configPath)
 	}
-	return len(diags), nil
+	return len(findings), nil
 }
 
 // lintSource runs the determinism lint over the module rooted at root,
@@ -348,11 +340,11 @@ func verifyStructure(p *printer, m structuralModel) (int, error) {
 		r.Write(p.w)
 	} else {
 		for _, f := range r.Findings {
-			p.finding(structuralJSON(m.name, f))
+			p.finding(modelFinding("sanalyze", m.name, f))
 		}
 	}
 	for _, f := range conf {
-		p.finding(structuralJSON(m.name, f))
+		p.finding(modelFinding("sanalyze", m.name, f))
 	}
 	if len(conf) == 0 {
 		p.textf("  conformance: %d firings checked, 0 violations\n", checked)
@@ -360,9 +352,10 @@ func verifyStructure(p *printer, m structuralModel) (int, error) {
 	return len(r.Findings) + len(conf), nil
 }
 
-func structuralJSON(model string, f sanalyze.Finding) jsonFinding {
+// modelFinding converts a model verifier's finding into the JSON schema.
+func modelFinding(tool, model string, f sanalyze.Finding) jsonFinding {
 	return jsonFinding{
-		Tool:      "sanalyze",
+		Tool:      tool,
 		Model:     model,
 		Check:     f.Check,
 		Severity:  f.Severity.String(),
@@ -372,42 +365,33 @@ func structuralJSON(model string, f sanalyze.Finding) jsonFinding {
 	}
 }
 
-// demoFixtures renders the analyzers' verdicts on every seeded-defect
-// fixture — the sanlint shape checks first, then the sanalyze structural
+// demoFixtures renders the verifier's verdicts on every seeded-defect
+// fixture — the Lint shape checks first, then the Analyze structural
 // checks with their counterexamples. The defects are intentional, so the
 // demo always succeeds; it exists to show each check firing (and each
 // clean counterpart passing).
 func demoFixtures(p *printer) {
-	for _, fx := range fixtures.All() {
-		diags := sanlint.AnalyzeModel(fx.Build())
-		if len(diags) == 0 {
-			p.textf("%s: clean\n", fx.Name)
-			continue
-		}
-		p.textf("%s:\n", fx.Name)
-		for _, d := range diags {
-			if p.json {
-				p.finding(jsonFinding{
-					Tool: "sanlint", Model: fx.Name, Check: d.Check,
-					Severity: d.Severity.String(), Component: d.Component, Message: d.Message,
-				})
-				continue
-			}
-			p.textf("  %s\n", d)
-		}
+	for _, fx := range fixtures.Lint() {
+		demoFixture(p, "sanlint", fx.Name, fx.Name, sanalyze.Lint(fx.Build().Structure()))
 	}
-	for _, fx := range sanalyzefixtures.All() {
+	for _, fx := range fixtures.All() {
 		r := sanalyze.AnalyzeModel(fx.Build(), sanalyze.Options{Disabled: fx.Disabled})
-		if len(r.Findings) == 0 {
-			p.textf("structural:%s: clean\n", fx.Name)
-			continue
-		}
-		p.textf("structural:%s:\n", fx.Name)
-		for _, f := range r.Findings {
-			if p.json {
-				p.finding(structuralJSON(fx.Name, f))
-				continue
-			}
+		demoFixture(p, "sanalyze", "structural:"+fx.Name, fx.Name, r.Findings)
+	}
+}
+
+// demoFixture prints one fixture's findings under its label, or that it
+// is clean.
+func demoFixture(p *printer, tool, label, model string, findings []sanalyze.Finding) {
+	if len(findings) == 0 {
+		p.textf("%s: clean\n", label)
+		return
+	}
+	p.textf("%s:\n", label)
+	for _, f := range findings {
+		if p.json {
+			p.finding(modelFinding(tool, model, f))
+		} else {
 			p.textf("  %s\n", f)
 		}
 	}

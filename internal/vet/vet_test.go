@@ -242,7 +242,8 @@ func Stamp() int64 { return time.Now().UnixNano() }
 }
 
 // TestJSONFixturesDemo: the fixture demo in JSON mode streams both
-// sanlint and sanalyze findings, including counterexample traces.
+// Lint findings (tool "sanlint") and Analyze findings (tool "sanalyze"),
+// including counterexample traces.
 func TestJSONFixturesDemo(t *testing.T) {
 	var b strings.Builder
 	if err := Run([]string{"-fixtures", "-json"}, &b); err != nil {

@@ -5,6 +5,10 @@
 set -eu
 cd "$(dirname "$0")"
 
+# One scratch directory for everything the checks write, removed on exit.
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
 echo "== gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -17,9 +21,8 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== go vet -vettool (determinism analyzers under the go driver)"
-vettool=$(mktemp -d)/vcpuvet
-go build -o "$vettool" ./cmd/vet
-go vet -vettool="$vettool" ./...
+go build -o "$work/vcpuvet" ./cmd/vet
+go vet -vettool="$work/vcpuvet" ./...
 
 echo "== vcpusim vet (determinism lint + shipped model check)"
 go run ./cmd/vcpusim vet -config cmd/vcpusim/testdata/fig8.json
@@ -47,8 +50,8 @@ go test -run 'Golden|PooledEquivalence|Oracle|AllocFree' -count=1 ./internal/cor
 go test -count=1 -cpu 1,2,4 ./internal/cluster
 
 echo "== observability gate (manifest write + schema/counter validation)"
-obsdir=$(mktemp -d)
-trap 'rm -rf "$obsdir"' EXIT
+obsdir="$work/obs"
+mkdir "$obsdir"
 go run ./cmd/vcpusim experiments -figure 8 -quick -manifest "$obsdir" >/dev/null
 go run ./cmd/vcpusim manifest -check "$obsdir/manifest.json"
 
@@ -59,11 +62,11 @@ go run ./cmd/vcpusim trace -config cmd/vcpusim/testdata/fig8.json -horizon 400 \
     -out "$obsdir/trace2.json" -probe "$obsdir/series2.csv" >/dev/null
 cmp "$obsdir/trace.json" "$obsdir/trace2.json"
 cmp "$obsdir/series.csv" "$obsdir/series2.csv"
-probedir=$(mktemp -d)
+probedir="$work/probe"
+mkdir "$probedir"
 go run ./cmd/vcpusim experiments -figure 8 -quick -engine san -hist \
     -probe "$probedir/series" -manifest "$probedir" >/dev/null
 go run ./cmd/vcpusim manifest -check "$probedir/manifest.json"
-rm -rf "$probedir"
 
 echo "== bench smoke (./bench.sh smoke)"
 ./bench.sh smoke
